@@ -79,11 +79,11 @@ int main() {
 
     const double total =
         std::accumulate(node_sum.begin(), node_sum.end(), 0.0);
+    const net::NetStats& traffic = rt.network().stats();
     std::printf("  gathered-value total: %.0f; fabric: %llu messages, "
                 "%.4f MB\n\n",
-                total,
-                static_cast<unsigned long long>(rt.total_messages()),
-                rt.total_megabytes());
+                total, static_cast<unsigned long long>(traffic.messages()),
+                traffic.megabytes());
   }
   return 0;
 }

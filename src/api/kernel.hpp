@@ -354,29 +354,38 @@ struct KernelSpec {
   }
 };
 
+/// Every TmkCounters field, declared once: X(name) per field.  Each name is
+/// also a DsmStats counter, so plan::counters_from copies it out of a stats
+/// delta and plan::add_counters sums it across workers, both generated from
+/// this list.
+#define SDSM_TMK_COUNTERS(X)                                               \
+  X(validate_calls)                                                        \
+  X(validate_recomputes) /* Read_indices executions */                     \
+  X(read_faults)                                                           \
+  X(pages_prefetched)                                                      \
+  X(twins_created)                                                         \
+  X(whole_pages)                                                           \
+  X(diff_bytes)                                                            \
+  X(cross_prefetch_posts) /* barrier-exit prefetches posted */             \
+  /* Every posted prefetch is accounted for exactly once: posts ==      */ \
+  /* consumes (completed at first use) + drains (completed at backend   */ \
+  /* teardown after an early exit left one in flight).                  */ \
+  X(cross_prefetch_consumes)                                               \
+  X(cross_prefetch_drains)                                                 \
+  /* Adaptive coherence decisions (src/coherence/); all zero under the  */ \
+  /* static policy.  Migrations are counted on every node (the          */ \
+  /* directory update is node-local), so the figure scales with nprocs  */ \
+  /* in both deploy modes alike.                                        */ \
+  X(replications)                                                          \
+  X(migrations)                                                            \
+  X(ghost_promotions)
+
 /// TreadMarks-side protocol counters surfaced for tests and ablations
 /// (zero for the CHAOS backend).  Counted over the timed steps only.
 struct TmkCounters {
-  std::uint64_t validate_calls = 0;
-  std::uint64_t validate_recomputes = 0;  ///< Read_indices executions
-  std::uint64_t read_faults = 0;
-  std::uint64_t pages_prefetched = 0;
-  std::uint64_t twins_created = 0;
-  std::uint64_t whole_pages = 0;
-  std::uint64_t diff_bytes = 0;
-  std::uint64_t cross_prefetch_posts = 0;  ///< barrier-exit prefetches posted
-  /// Every posted prefetch is accounted for exactly once:
-  /// posts == consumes (completed at first use) + drains (completed at
-  /// backend teardown after an early exit left one in flight).
-  std::uint64_t cross_prefetch_consumes = 0;
-  std::uint64_t cross_prefetch_drains = 0;
-  /// Adaptive coherence decisions (src/coherence/); all zero under the
-  /// static policy.  Migrations are counted on every node (the directory
-  /// update is node-local), so the figure scales with nprocs in both
-  /// deploy modes alike.
-  std::uint64_t replications = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t ghost_promotions = 0;
+#define SDSM_TMK_FIELD(name) std::uint64_t name = 0;
+  SDSM_TMK_COUNTERS(SDSM_TMK_FIELD)
+#undef SDSM_TMK_FIELD
 };
 
 /// Result of one kernel execution, uniform across backends.

@@ -3,1105 +3,32 @@
 //
 // Two assignments run here:
 //
-//  - run_page_dsm: both regions under the page protocol — the former
-//    TmkBackend monolith (base = demand paging, optimized = Validate
-//    aggregation), restructured around the shared StepDriver
-//    (plan/step_driver.hpp) and fold helpers (plan/fold.hpp).
+//  - page-dsm on both regions (kTmkBase, kTmkOptimized): demand paging or
+//    Validate aggregation for the rebuild reads, the compute loop, the
+//    round-scheduled reduction and the owner update.
 //
-//  - run_hybrid: the first *mixed* assignment (Backend::kHybrid).  The
-//    state partition stays under the Tmk page protocol — per-node
-//    page-aligned slices, owner WRITE_ALL updates, rebuild state reads
-//    via aggregated Validate — while the indirection-driven reads and
-//    reductions are resolved by inspector-built communication schedules
-//    whose gather/scatter travels as application-plane payloads on the
-//    same DSM transport (plan/dsm_exchange.hpp).
+//  - the mixed assignment (kHybrid): the state partition stays under the
+//    page protocol — per-node page-aligned slices, owner WRITE_ALL
+//    updates, rebuild state reads via aggregated Validate — while the
+//    indirection region runs the shared inspector-gather strategy
+//    (plan/inspector_gather.hpp) as application-plane payloads on the same
+//    DSM transport (plan/dsm_exchange.hpp).
 //
-// run_dsm() dispatches between them from the resolved ExecutionPlan.
+// run_dsm() resolves the ExecutionPlan and dispatches.  Defined in
+// dsm_driver.cpp for T = double and double3.
 #pragma once
 
-#include <algorithm>
-#include <memory>
-#include <span>
-#include <vector>
+#include <cstdint>
 
-#include "src/api/bucketed.hpp"
 #include "src/api/kernel.hpp"
-#include "src/api/plan/dsm_exchange.hpp"
-#include "src/api/plan/fold.hpp"
-#include "src/api/plan/msg_driver.hpp"
-#include "src/api/plan/plan.hpp"
-#include "src/api/plan/step_driver.hpp"
 #include "src/api/reuse.hpp"
-#include "src/chaos/executor.hpp"
-#include "src/chaos/inspector.hpp"
-#include "src/common/timer.hpp"
-#include "src/compiler/lowering.hpp"
-#include "src/core/descriptor.hpp"
 #include "src/core/dsm.hpp"
 
 namespace sdsm::api::plan {
 
-namespace detail {
-
-// Hand-issued schedule ids, disjoint from the compiled kernel's (which
-// start at 1) and from each other: rebuild prefetch, list rewrite, the
-// per-chunk pipelined reduction, the owner-update pair, and the tournament
-// schedule's touch-matrix and scratch traffic.
-constexpr std::uint32_t kSchedRebuildRead = 100;
-constexpr std::uint32_t kSchedListWrite = 101;
-constexpr std::uint32_t kSchedTouchWrite = 102;
-constexpr std::uint32_t kSchedTouchRead = 103;
-constexpr std::uint32_t kSchedConvWrite = 104;
-constexpr std::uint32_t kSchedConvRead = 105;
-constexpr std::uint32_t kSchedReduceBase = 1000;   // + chunk owner
-constexpr std::uint32_t kSchedUpdateRead = 2000;
-constexpr std::uint32_t kSchedUpdateWrite = 2001;
-constexpr std::uint32_t kSchedScratchPubBase = 3000;   // + chunk owner
-constexpr std::uint32_t kSchedScratchReadBase = 4000;  // + chunk owner
-
-/// The Validate statement the transform inserts for the generic irregular
-/// kernel (the repository's mini-Fortran shape), compiled once per
-/// process.  See dsm_driver.cpp for the kernel source and the tool path.
-const compiler::Stmt& compiled_validate_stmt();
-
-class TmkIrregularNode final : public IrregularNode {
- public:
-  explicit TmkIrregularNode(core::DsmNode& n) : n_(n) {}
-  NodeId id() const override { return n_.id(); }
-  std::uint32_t num_nodes() const override { return n_.num_nodes(); }
-  void barrier() override { n_.barrier(); }
-
- private:
-  core::DsmNode& n_;
-};
-
-// ---------------------------------------------------------------------------
-// Tournament (round-robin pairing) reduction schedule.
-//
-// The serial rotation pipeline orders each chunk's contributions as one
-// read-modify-write chain through the shared f array: nprocs rounds, one
-// barrier each.  The tournament instead pairs a chunk's contributors off
-// and combines partial sums pairwise through per-node scratch slices,
-// halving the field every round; only the chunk's owner ever writes f.
-// Rounds of different chunks never conflict (a node publishes only to its
-// own scratch slice, and each pair reads a distinct loser), so one global
-// barrier fuses every chunk's round k, and the per-step barrier count
-// drops from nprocs to ceil(log2(max contributors per chunk)).
-// ---------------------------------------------------------------------------
-
-/// One node's work in one fused round, for one chunk: publish copies the
-/// private partial for `range` into this node's scratch slice; combine
-/// reads `partner`'s published partial and adds it into the private one.
-struct RoundOp {
-  part::Range range;   ///< the chunk's element range in x/f space
-  NodeId chunk = 0;    ///< chunk owner (names the schedule id)
-  NodeId partner = 0;  ///< combine only: whose scratch slice to read
-};
-
-struct TournamentPlan {
-  int rounds = 0;  ///< global fused-round count (max over chunks)
-  std::vector<std::vector<RoundOp>> publish;  ///< [round] -> losers' copies
-  std::vector<std::vector<RoundOp>> combine;  ///< [round] -> winners' adds
-};
-
-/// Derives node `me`'s bracket from the global touch matrix
-/// (touch[w * nprocs + c] != 0 iff node w's items reference chunk c).
-/// Every node runs this on the identical matrix, so all brackets agree.
-/// Contributors are ordered owner-first, then in the serial schedule's
-/// accumulation order, making the pairing deterministic.
-///
-/// All-zero rows are first-class: a node with an empty frontier
-/// contributes to no chunk, so it appears in no contributor list except
-/// as the (unconditional) owner seed of its own chunk, and an all-zero
-/// MATRIX — every node's frontier empty, e.g. the steps after a BFS
-/// exhausts a component — degenerates to zero fused rounds, every chunk
-/// reduced by its owner alone.  The round count is a pure function of the
-/// shared matrix, so empty rows can never desynchronize the per-round
-/// barriers.
-TournamentPlan build_tournament_plan(
-    NodeId me, std::uint32_t nprocs,
-    const std::vector<part::Range>& owner_range,
-    const std::vector<std::uint8_t>& touch);
-
-}  // namespace detail
-
-/// The timed-window accounting of one DSM-substrate run.
-struct SectionTimes {
-  double warm_scan_s = 0;   ///< Read_indices time accrued during warmup
-  double wall_seconds = 0;  ///< wall time of the timed section
-  DsmStats::Snapshot timed{};
-  net::NetStats::Snapshot net_timed{};
-};
-
-/// One copy of the warmup/timed-section accounting for the DSM substrate.
-///
-/// `body(self, steps, first_global_step)` runs one section on one node;
-/// `at_cut()` fires on the host thread at the warm/timed boundary (after
-/// the warm snapshots and process-mode fence — where callers record
-/// pre-timed step counts); `checksum(self)` computes each node's partial
-/// after the timed section.
-///
-/// All statistics are interval-scoped by snapshot subtraction: a shared
-/// runtime's cumulative counters survive each job, and everything reported
-/// is a delta from the post-warmup snapshot, so a warm shared runtime's
-/// prior-job counters never leak into this job's result.
-///
-/// Process mode needs a consistent cut at both snapshot points: each
-/// worker snapshots its own counters, but without a fence a fast peer's
-/// first timed-section diff request could be served by this worker's
-/// service thread *before* the snapshot, landing the reply in the warm
-/// delta while a threaded run (which snapshots globally after join)
-/// counts it timed-side — breaking the bit-exact parity between the
-/// modes.  The fence is uncounted control traffic, so the counters
-/// themselves are unchanged.  Threads mode takes no fence: its snapshot
-/// is already a perfect cut, and a serial loop over hosted nodes would
-/// deadlock the rendezvous.  (The end-of-timed fence additionally orders
-/// the post-barrier checksum's boundary-page fetches — and the replies
-/// peers consumed — before every snapshot.)
-template <typename Body, typename AtCut, typename Checksum>
-SectionTimes run_sections(core::DsmRuntime& rt,
-                          const DsmStats::Snapshot& stats_entry,
-                          int warmup_steps, int num_steps, Body&& body,
-                          AtCut&& at_cut, Checksum&& checksum) {
-  SectionTimes out;
-  // Warmup (untimed; one-time costs such as the first Read_indices scan of
-  // a static list land here, as in the paper's first iteration).
-  if (warmup_steps > 0) {
-    rt.run([&](core::DsmNode& self) { body(self, warmup_steps, 0); });
-  }
-  out.warm_scan_s =
-      static_cast<double>((rt.stats().snapshot() - stats_entry).scan_ns) /
-      1e9;
-  const DsmStats::Snapshot stats_warm = rt.stats().snapshot();
-  const net::NetStats::Snapshot net_warm = rt.network().stats().snapshot();
-  if (rt.config().mode == DeployMode::kProcesses) {
-    for (const NodeId q : rt.local_ids()) rt.node(q).quiesce_fence();
-  }
-  at_cut();
-
-  const Timer wall;
-  rt.run([&](core::DsmNode& self) {
-    body(self, num_steps, warmup_steps);
-    checksum(self);
-  });
-  if (rt.config().mode == DeployMode::kProcesses) {
-    for (const NodeId q : rt.local_ids()) rt.node(q).quiesce_fence();
-  }
-  out.timed = rt.stats().snapshot() - stats_warm;
-  out.net_timed = rt.network().stats().snapshot() - net_warm;
-  out.wall_seconds = wall.elapsed_s();
-  return out;
-}
-
-// ---------------------------------------------------------------------------
-// run_page_dsm: both regions under the page protocol (kTmkBase/kTmkOpt,
-// and a kHybrid whose planner kept the indirection region on kPageDsm).
-// ---------------------------------------------------------------------------
-
-template <typename T>
-KernelResult run_page_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
-                          RunSession* session, const BackendOptions& options,
-                          std::uint32_t num_nodes, bool optimized,
-                          Backend kind) {
-  const std::uint32_t nprocs = num_nodes;
-  const auto n = static_cast<std::size_t>(spec.num_elements);
-
-  const DsmStats::Snapshot stats_entry = rt.stats().snapshot();
-
-  auto x = rt.alloc_global<T>(n);
-  auto f = rt.alloc_global<T>(n);
-
-  // Per-node slice of the shared flat index array: int32 refs, each node's
-  // CSR rows concatenated.  Page-aligned so one node's WRITE_ALL rebuild
-  // never ships a page carrying a neighbour's references; sized by the
-  // declared reference capacity, not items * max-arity — the unpadded CSR
-  // footprint is exactly what variable-length rows save.
-  const std::size_t page_ints = rt.page_size() / sizeof(std::int32_t);
-  const std::size_t slice_ints =
-      (static_cast<std::size_t>(spec.max_refs_per_node) + page_ints - 1) /
-      page_ints * page_ints;
-  auto list = rt.alloc_global<std::int32_t>(slice_ints * nprocs);
-
-  const bool tournament =
-      options.round_schedule == RoundSchedule::kTournament;
-  // Cross-step prefetch rides the Validate machinery, so it exists only on
-  // the optimized backend; base demand paging would fetch page-by-page and
-  // the prefetch-vs-not traffic-equality contract could not hold.
-  const bool prefetch = options.cross_step_prefetch && optimized;
-
-  // Tournament state, absent in serial mode so the serial schedule's heap
-  // layout and traffic stay bit-identical to the committed baseline: each
-  // node's touch-matrix row (published at every rebuild so all nodes
-  // derive the same pairing) and its scratch slice (where losers publish
-  // partial sums for winners to combine).  Separate page-aligned
-  // allocations, so no slice ever shares a page with a neighbour's.
-  // Footprint: the slices add nprocs * n * sizeof(T) of shared region —
-  // the same full-size-per-node memory/latency trade the paper notes for
-  // Tmk's private reduction arrays, paid again in shared space; a run
-  // near region_bytes under the serial schedule needs a larger region
-  // before flipping the tournament on.  (A node can publish up to every
-  // chunk it contributes to, so per-slice demand is only bounded by n;
-  // packing touched chunks would need a per-rebuild layout + remap.)
-  std::vector<core::GlobalArray<std::uint8_t>> touch_rows;
-  std::vector<core::GlobalArray<T>> scratch;
-  if (tournament) {
-    touch_rows.reserve(nprocs);
-    scratch.reserve(nprocs);
-    for (std::uint32_t q = 0; q < nprocs; ++q) {
-      touch_rows.push_back(rt.alloc_global<std::uint8_t>(nprocs));
-    }
-    for (std::uint32_t q = 0; q < nprocs; ++q) {
-      scratch.push_back(rt.alloc_global<T>(n));
-    }
-  }
-
-  // The DSM-published convergence flag: one byte per node in one shared
-  // array (the multiple-writer protocol merges the per-node writes).  Each
-  // node writes its verdict before the step barrier and reads all of them
-  // after it, so every node derives the identical termination decision
-  // with no side channel.  Allocated only when the kernel converges, so
-  // non-converging kernels keep a bit-identical heap layout and traffic.
-  const bool has_conv = static_cast<bool>(spec.converged);
-  core::GlobalArray<std::uint8_t> conv_flags{};
-  if (has_conv) conv_flags = rt.alloc_global<std::uint8_t>(nprocs);
-
-  const rsd::ArrayLayout x_layout{{spec.num_elements}, true};
-  const rsd::ArrayLayout list_layout{
-      {static_cast<std::int64_t>(slice_ints * nprocs)}, true};
-  const rsd::ArrayLayout touch_layout{{static_cast<std::int64_t>(nprocs)},
-                                      true};
-  const rsd::ArrayLayout conv_layout{{static_cast<std::int64_t>(nprocs)},
-                                     true};
-  compiler::Bindings bindings;
-  bindings["X"] = compiler::ArrayBinding{x.addr, sizeof(T), x_layout};
-  bindings["F"] = compiler::ArrayBinding{f.addr, sizeof(T), x_layout};
-  bindings["LIST"] =
-      compiler::ArrayBinding{list.addr, sizeof(std::int32_t), list_layout};
-
-  struct PerNode {
-    std::vector<T> accum;  ///< private full-size reduction array (the
-                           ///< memory cost the paper notes for Tmk)
-    std::vector<std::int64_t> row_offsets;
-    RowBuckets buckets;  ///< degree buckets (ExecEngine::kBucketed only)
-    std::vector<double> payload;
-    std::vector<bool> touches;  ///< chunks this node's items reference
-    detail::TournamentPlan plan;  ///< this node's bracket (tournament mode)
-    std::size_t refs = 0;         ///< flattened references this rebuild
-    std::size_t max_row = 0;
-    std::int64_t rebuilds = 0;
-    std::int64_t steps_run = 0;  ///< steps executed (warmup + timed)
-    bool done = false;           ///< globally converged: no further steps
-    double checksum = 0;
-  };
-  std::vector<PerNode> state(nprocs);
-
-  // Node 0 seeds the shared state before the (un)timed sections.
-  rt.run([&](core::DsmNode& self) {
-    if (self.id() == 0) {
-      std::copy(spec.initial_state.begin(), spec.initial_state.end(),
-                self.ptr(x));
-    }
-    self.barrier();
-  });
-
-  auto body = [&](core::DsmNode& self, int steps, int first_global) {
-    const NodeId me = self.id();
-    const part::Range mine = spec.owner_range[me];
-    T* xp = self.ptr(x);
-    T* fp = self.ptr(f);
-    std::int32_t* lp = self.ptr(list) + me * slice_ints;
-    PerNode& st = state[me];
-    st.accum.resize(n);
-    st.touches.resize(nprocs);
-    detail::TmkIrregularNode node(self);
-    const std::int64_t my_ref0 =
-        static_cast<std::int64_t>(me) * static_cast<std::int64_t>(slice_ints);
-
-    // The rebuild's whole-state read: issued by validate at the rebuild
-    // itself, and — when cross-step prefetch is on — posted identically
-    // from the previous step's barrier exit, so the same pages fly the
-    // same way and only the wait moves.
-    const auto rebuild_read_desc = [&] {
-      return core::DescriptorBuilder::array(x, x_layout)
-          .elements(0, spec.num_elements - 1)
-          .schedule(detail::kSchedRebuildRead)
-          .read();
-    };
-
-    // --- AccessStrategy::kPageDsm, Region::kIndirection: the structure
-    // rebuild.  The whole-state read arrives by aggregated Validate
-    // (optimized) or demand paging (base); the rebuilt reference list is
-    // published through the shared LIST slice.
-    auto rebuild_fn = [&](int /*global_step*/) {
-      // This node's rebuild ordinal: the schedule-cache index for both
-      // the hit (replay) and miss (record) paths.
-      const std::int64_t ordinal = st.rebuilds;
-      const CachedRebuild* cached =
-          (session != nullptr && session->lookup)
-              ? session->lookup(me, ordinal)
-              : nullptr;
-      if (optimized && spec.rebuild_reads_state) {
-        // Prefetch the whole state with one aggregated exchange per
-        // producer before the structure builder scans it.
-        self.validate({rebuild_read_desc()});
-      }
-      WorkItems items;
-      if (cached != nullptr) {
-        if (!optimized && spec.rebuild_reads_state) {
-          // Base backend, state-reading builder: on a miss the builder's
-          // scan of x demand-fetches every invalid page.  Replaying the
-          // structure skips the scan, so walk the pages explicitly — one
-          // volatile touch per page — to keep the hit's fault traffic
-          // identical to the miss's.
-          const auto* xb = reinterpret_cast<const volatile std::byte*>(xp);
-          const std::size_t xbytes = n * sizeof(T);
-          for (std::size_t off = 0; off < xbytes;
-               off += self.page_size()) {
-            (void)xb[off];
-          }
-        }
-        items.row_offsets = cached->items.row_offsets;
-        items.refs = cached->items.refs;
-        items.payload = cached->items.payload;
-        st.refs = cached->shape.num_refs;
-        st.max_row = cached->shape.max_row;
-        session->cached_builds.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        items = spec.build_items(node, std::span<const T>(xp, n));
-        const ItemsShape shape = spec.require_valid_items(items);
-        st.refs = shape.num_refs;
-        st.max_row = shape.max_row;
-        if (session != nullptr) {
-          session->fresh_builds.fetch_add(1, std::memory_order_relaxed);
-          if (session->store) {
-            CachedRebuild record;
-            record.items = items;  // copy: `items` is consumed below
-            record.shape = shape;
-            session->store(me, ordinal, std::move(record));
-          }
-        }
-      }
-      if (optimized) {
-        // The whole slice is rewritten: whole-page shipping, no twins.
-        // Declaring the write also notifies any schedule watching these
-        // indirection pages, exactly as a faulting write would.
-        self.validate(
-            {core::DescriptorBuilder::array(list, list_layout)
-                 .elements(static_cast<std::int64_t>(me * slice_ints),
-                           static_cast<std::int64_t>((me + 1) * slice_ints) -
-                               1)
-                 .schedule(detail::kSchedListWrite)
-                 .write_all()});
-      }
-      std::fill(st.touches.begin(), st.touches.end(), false);
-      for (std::size_t k = 0; k < items.refs.size(); ++k) {
-        const std::int64_t g = items.refs[k];
-        lp[k] = static_cast<std::int32_t>(g);
-        st.touches[owner_of(spec.owner_range, g)] = true;
-      }
-      st.row_offsets = std::move(items.row_offsets);
-      if (options.exec_engine == ExecEngine::kBucketed) {
-        st.buckets = RowBuckets::build(st.row_offsets);
-      }
-      st.payload = std::move(items.payload);
-      ++st.rebuilds;
-      if (tournament) {
-        // Publish this node's touch-matrix row; the rebuild barrier
-        // below makes every row visible to every node.
-        if (optimized) {
-          self.validate({core::DescriptorBuilder::array(touch_rows[me],
-                                                        touch_layout)
-                             .elements(0, nprocs - 1)
-                             .schedule(detail::kSchedTouchWrite)
-                             .write()});
-        }
-        std::uint8_t* tp = self.ptr(touch_rows[me]);
-        for (std::uint32_t q = 0; q < nprocs; ++q) {
-          tp[q] = st.touches[q] ? 1 : 0;
-        }
-      }
-      self.barrier();
-      if (tournament) {
-        // Read the full matrix (one aggregated fetch per producer under
-        // Validate, demand faults on the base backend) and derive the
-        // bracket.  Every node sees the identical matrix, so the fused
-        // rounds agree globally without any extra coordination.
-        if (optimized) {
-          std::vector<core::AccessDescriptor> reads;
-          for (std::uint32_t q = 0; q < nprocs; ++q) {
-            if (q == me) continue;
-            reads.push_back(core::DescriptorBuilder::array(touch_rows[q],
-                                                           touch_layout)
-                                .elements(0, nprocs - 1)
-                                .schedule(detail::kSchedTouchRead)
-                                .read());
-          }
-          self.validate(reads);
-        }
-        std::vector<std::uint8_t> matrix(
-            static_cast<std::size_t>(nprocs) * nprocs);
-        for (std::uint32_t q = 0; q < nprocs; ++q) {
-          const std::uint8_t* row = self.ptr(touch_rows[q]);
-          std::copy(row, row + nprocs, matrix.begin() + q * nprocs);
-        }
-        st.plan = detail::build_tournament_plan(me, nprocs, spec.owner_range,
-                                                matrix);
-      }
-    };
-
-    // --- AccessStrategy::kPageDsm, both regions: the computational step.
-    // Indirection reads fault in (base) or arrive by compiler-lowered
-    // Validate (optimized); the reduction flows through the shared f
-    // array under the selected round schedule; the owner update writes
-    // the state region in place.
-    auto execute_fn = [&](int /*global_step*/) {
-      // The compute loop (the compiled kernel), accumulating privately.
-      // Seeded with the reduction identity, NOT zero: for a min-reduction
-      // every untouched element — including every element of a node whose
-      // frontier is empty — must contribute nothing, and the serial
-      // round-0 owner write / tournament owner write publish this
-      // accumulator verbatim.
-      std::fill(st.accum.begin(), st.accum.end(), spec.f_identity);
-      if (optimized) {
-        // Offset-driven bounds: this node's rows occupy the flat range
-        // [my_ref0, my_ref0 + refs) of LIST, whatever their lengths
-        // (1-based inclusive in the mini-Fortran; empty when refs == 0).
-        const compiler::Env env{
-            {"MY_REF_START", static_cast<long long>(my_ref0) + 1},
-            {"MY_REF_END", static_cast<long long>(my_ref0) +
-                               static_cast<long long>(st.refs)}};
-        self.validate(compiler::lower_validate(
-            detail::compiled_validate_stmt(), bindings, env));
-      }
-      KernelCtx<T> ctx;
-      ctx.row_offsets = std::span<const std::int64_t>(st.row_offsets);
-      ctx.refs = std::span<const std::int32_t>(lp, st.refs);
-      ctx.payload = std::span<const double>(st.payload);
-      ctx.x = std::span<const T>(xp, n);
-      ctx.f = std::span<T>(st.accum);
-      if (options.exec_engine == ExecEngine::kBucketed) {
-        ctx.buckets = &st.buckets;
-      }
-      spec.compute(node, ctx);
-
-      if (!tournament) {
-        // Serial rotation pipeline: nprocs rounds, round r updates chunk
-        // (me + r) % nprocs in place.  Round 0 is the owner initializing
-        // its own chunk (WRITE_ALL); later rounds accumulate
-        // (READ&WRITE_ALL) and are skipped for chunks this node's items
-        // never touch.
-        const auto reduce_desc = [&](std::uint32_t r) {
-          const NodeId c = (me + r) % nprocs;
-          const part::Range chunk = spec.owner_range[c];
-          return core::DescriptorBuilder::array(f, x_layout)
-              .elements(chunk.begin, chunk.end - 1)
-              .schedule(detail::kSchedReduceBase + c)
-              .finish(r == 0 ? core::Access::kWriteAll
-                             : core::Access::kReadWriteAll);
-        };
-        const auto participates = [&](std::uint32_t r) {
-          const NodeId c = (me + r) % nprocs;
-          return spec.owner_range[c].size() > 0 && (r == 0 || st.touches[c]);
-        };
-        for (std::uint32_t r = 0; r < nprocs; ++r) {
-          if (participates(r)) {
-            const NodeId c = (me + r) % nprocs;
-            const part::Range chunk = spec.owner_range[c];
-            if (optimized) self.validate({reduce_desc(r)});
-            if (r == 0) {
-              for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-                fp[i] = st.accum[static_cast<std::size_t>(i)];
-              }
-            } else {
-              for (std::int64_t i = chunk.begin; i < chunk.end; ++i) {
-                fp[i] =
-                    spec.combine(fp[i], st.accum[static_cast<std::size_t>(i)]);
-              }
-            }
-          }
-          self.barrier();
-          // Cross-step prefetch: the schedule is deterministic, so round
-          // r+1's chunk — and the diffs its pages need — is final the
-          // moment this barrier returns.  Posting the same aggregated
-          // requests the next validate would post moves their flight time
-          // under the validate's own bookkeeping; the traffic is
-          // message-for-message identical either way.
-          if (prefetch && r + 1 < nprocs && participates(r + 1)) {
-            self.post_validate_prefetch({reduce_desc(r + 1)});
-          }
-        }
-      } else {
-        // Tournament schedule: ceil(log2(contributors)) fused rounds.  In
-        // round k every loser publishes its running partial for its chunk
-        // into its own scratch slice, the barrier makes the publishes
-        // visible, and every winner combines its partner's partial into
-        // its private accumulator.  After the last round each chunk's
-        // total sits with its owner, which alone writes f.
-        const detail::TournamentPlan& plan = st.plan;
-        const auto combine_descs = [&](int k) {
-          std::vector<core::AccessDescriptor> descs;
-          for (const detail::RoundOp& op :
-               plan.combine[static_cast<std::size_t>(k)]) {
-            descs.push_back(
-                core::DescriptorBuilder::array(scratch[op.partner], x_layout)
-                    .elements(op.range.begin, op.range.end - 1)
-                    .schedule(detail::kSchedScratchReadBase + op.chunk)
-                    .read());
-          }
-          return descs;
-        };
-        for (int k = 0; k < plan.rounds; ++k) {
-          const auto& pubs = plan.publish[static_cast<std::size_t>(k)];
-          if (!pubs.empty()) {
-            if (optimized) {
-              std::vector<core::AccessDescriptor> writes;
-              for (const detail::RoundOp& op : pubs) {
-                writes.push_back(
-                    core::DescriptorBuilder::array(scratch[me], x_layout)
-                        .elements(op.range.begin, op.range.end - 1)
-                        .schedule(detail::kSchedScratchPubBase + op.chunk)
-                        .write_all());
-              }
-              self.validate(writes);
-            }
-            T* sp = self.ptr(scratch[me]);
-            for (const detail::RoundOp& op : pubs) {
-              for (std::int64_t i = op.range.begin; i < op.range.end; ++i) {
-                sp[i] = st.accum[static_cast<std::size_t>(i)];
-              }
-            }
-          }
-          self.barrier();
-          const auto& combs = plan.combine[static_cast<std::size_t>(k)];
-          if (!combs.empty()) {
-            // The partners' partials are final at the barrier exit, so
-            // their aggregated requests can fly while the validate below
-            // plans (and while this node runs its own publishes' copies
-            // next round on the base path).
-            const auto descs = combine_descs(k);
-            if (prefetch) self.post_validate_prefetch(descs);
-            if (optimized) self.validate(descs);
-            for (const detail::RoundOp& op : combs) {
-              const T* sp = self.ptr(scratch[op.partner]);
-              for (std::int64_t i = op.range.begin; i < op.range.end; ++i) {
-                st.accum[static_cast<std::size_t>(i)] = spec.combine(
-                    st.accum[static_cast<std::size_t>(i)], sp[i]);
-              }
-            }
-          }
-        }
-        // Owner-only write of the shared reduction array; everyone else's
-        // contribution already arrived through the bracket.  No barrier
-        // needed before the update below reads it — the write is local —
-        // and the step barrier publishes it for the next compute validate.
-        if (mine.size() > 0) {
-          if (optimized) {
-            self.validate({core::DescriptorBuilder::array(f, x_layout)
-                               .elements(mine.begin, mine.end - 1)
-                               .schedule(detail::kSchedReduceBase + me)
-                               .write_all()});
-          }
-          for (std::int64_t i = mine.begin; i < mine.end; ++i) {
-            fp[i] = st.accum[static_cast<std::size_t>(i)];
-          }
-        }
-      }
-
-      // Owner update of the state from the reduced contributions.
-      if (spec.update) {
-        if (optimized && mine.size() > 0) {
-          self.validate({core::DescriptorBuilder::array(f, x_layout)
-                             .elements(mine.begin, mine.end - 1)
-                             .schedule(detail::kSchedUpdateRead)
-                             .read(),
-                         core::DescriptorBuilder::array(x, x_layout)
-                             .elements(mine.begin, mine.end - 1)
-                             .schedule(detail::kSchedUpdateWrite)
-                             .read_write_all()});
-        }
-        spec.update(
-            std::span<T>(xp + mine.begin, static_cast<std::size_t>(mine.size())),
-            std::span<const T>(fp + mine.begin,
-                               static_cast<std::size_t>(mine.size())));
-      }
-    };
-
-    auto finish_fn = [&](int global_step, bool last) -> bool {
-      // Convergence verdict: published into this node's flag byte before
-      // the step barrier, so the barrier's write notices carry every
-      // node's verdict to every node.
-      if (has_conv) {
-        const bool mine_done = spec.converged(
-            node, std::span<const T>(xp + mine.begin,
-                                     static_cast<std::size_t>(mine.size())));
-        if (optimized) {
-          self.validate({core::DescriptorBuilder::array(conv_flags,
-                                                        conv_layout)
-                             .elements(me, me)
-                             .schedule(detail::kSchedConvWrite)
-                             .write()});
-        }
-        self.ptr(conv_flags)[me] = mine_done ? 1 : 0;
-      }
-      self.barrier();
-
-      // Cross-step prefetch of the next rebuild's whole-state read: at the
-      // barrier exit the state is final (nothing writes x until the next
-      // update phase), so the aggregated requests the rebuild validate
-      // would post can fly under the convergence check below.  If that
-      // check ends the loop, the post is left in flight and settled by the
-      // teardown drain (DsmRuntime::run) — the one case where prefetching
-      // costs traffic a non-prefetched run would not pay.
-      if (prefetch && spec.rebuild_reads_state && !last &&
-          spec.rebuild_needed(global_step + 1)) {
-        self.post_validate_prefetch({rebuild_read_desc()});
-      }
-
-      // Read every node's verdict (aggregated fetch under Validate, demand
-      // faults on the base backend); all nodes see the identical flags, so
-      // the loop terminates globally or not at all.
-      if (has_conv) {
-        if (optimized) {
-          self.validate({core::DescriptorBuilder::array(conv_flags,
-                                                        conv_layout)
-                             .elements(0, nprocs - 1)
-                             .schedule(detail::kSchedConvRead)
-                             .read()});
-        }
-        const std::uint8_t* cp = self.ptr(conv_flags);
-        bool all = true;
-        for (std::uint32_t q = 0; q < nprocs; ++q) all = all && cp[q] != 0;
-        if (all) st.done = true;
-      }
-      return st.done;
-    };
-
-    auto strat = make_strategy(rebuild_fn, execute_fn, finish_fn);
-    drive_steps(spec, strat, steps, first_global, st.steps_run, st.done);
-  };
-
-  // Per-node aggregation below covers the locally hosted nodes: all of
-  // them in threads mode; in process mode each worker reports its own and
-  // the launcher sums/maxes across workers.  Steps and rebuilds are
-  // globally uniform, so any hosted representative stands for them.
-  const NodeId rep = rt.first_local_node();
-  std::int64_t warm_steps_run = 0;
-  const SectionTimes t = run_sections(
-      rt, stats_entry, spec.warmup_steps, spec.num_steps, body,
-      [&] { warm_steps_run = state[rep].steps_run; },
-      [&](core::DsmNode& self) {
-        const part::Range mine = spec.owner_range[self.id()];
-        state[self.id()].checksum = spec.checksum(std::span<const T>(
-            self.ptr(x) + mine.begin, static_cast<std::size_t>(mine.size())));
-      });
-
-  KernelResult res;
-  res.backend = kind;
-  res.seconds = t.wall_seconds;
-  res.messages = t.net_timed.messages();
-  res.megabytes = t.net_timed.megabytes();
-  res.bytes = t.net_timed.bytes();
-  res.overhead_seconds =
-      (t.warm_scan_s + static_cast<double>(t.timed.scan_ns) / 1e9) /
-      rt.num_local_nodes();
-  res.diff_create_seconds =
-      static_cast<double>(t.timed.diff_create_ns) / 1e9 /
-      rt.num_local_nodes();
-  res.diff_apply_seconds =
-      static_cast<double>(t.timed.diff_apply_ns) / 1e9 /
-      rt.num_local_nodes();
-  res.rebuilds = state[rep].rebuilds;
-  std::vector<NodeAccount> accounts;
-  accounts.reserve(rt.num_local_nodes());
-  for (const NodeId q : rt.local_ids()) {
-    const PerNode& st = state[q];
-    accounts.push_back({st.checksum, st.refs, st.max_row});
-  }
-  fold_accounts(res, accounts);
-  res.steps_run = state[rep].steps_run - warm_steps_run;
-  // Every node executes the same global barriers, so the per-node count is
-  // the total divided by the hosted-node count (the stats only see hosted
-  // nodes); the delta is taken from the post-warmup snapshot, so this
-  // covers exactly the timed steps actually executed (fewer than num_steps
-  // when the convergence flag ended the loop early).
-  if (res.steps_run > 0) {
-    res.barriers_per_step = static_cast<double>(t.timed.barriers) /
-                            rt.num_local_nodes() /
-                            static_cast<double>(res.steps_run);
-  }
-  res.tmk = counters_from(t.timed);
-  return res;
-}
-
-// ---------------------------------------------------------------------------
-// run_hybrid: the mixed assignment.  Region::kState under kPageDsm,
-// Region::kIndirection under kInspectorGather.
-// ---------------------------------------------------------------------------
-
-template <typename T>
-KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
-                        RunSession* session, const BackendOptions& options,
-                        std::uint32_t num_nodes) {
-  const std::uint32_t nprocs = num_nodes;
-  const auto n = static_cast<std::size_t>(spec.num_elements);
-  SDSM_REQUIRE_MSG(
-      options.coherence == coherence::CoherencePolicy::kStatic,
-      "hybrid backend: adaptive coherence is not supported (the write "
-      "census is consumed at plan time instead)");
-
-  const DsmStats::Snapshot stats_entry = rt.stats().snapshot();
-
-  // Region::kState under the page protocol, laid out as per-node
-  // page-aligned slices: every page of the state has exactly one writer —
-  // its owner — which is precisely the single-writer census that sends the
-  // indirection region to the inspector (plan::classify_indirection), and
-  // what makes the owner's WRITE_ALL update twin-free with no boundary-page
-  // cross-invalidation.
-  std::vector<core::GlobalArray<T>> xs(nprocs);
-  std::vector<rsd::ArrayLayout> slice_layout(nprocs);
-  for (std::uint32_t q = 0; q < nprocs; ++q) {
-    const std::int64_t sz = spec.owner_range[q].size();
-    if (sz > 0) {
-      xs[q] = rt.alloc_global<T>(static_cast<std::size_t>(sz));
-      slice_layout[q] = rsd::ArrayLayout{{sz}, true};
-    }
-  }
-
-  const bool has_conv = static_cast<bool>(spec.converged);
-
-  // Region::kIndirection under the inspector: same translation table the
-  // message driver builds (and caches through the session).
-  std::shared_ptr<const chaos::TranslationTable> table_ptr =
-      table_for(spec, nprocs, options.table, session);
-  const chaos::TranslationTable& table = *table_ptr;
-
-  struct PerNode {
-    std::vector<T> x_all;  ///< private mirror: owned block + ghost region
-    std::vector<T> f_all;  ///< private accumulators (owned + ghost)
-    std::vector<T> all_state;
-    std::shared_ptr<const chaos::Schedule> sched;
-    std::vector<std::int32_t> localized;
-    std::vector<std::int64_t> row_offsets;
-    RowBuckets buckets;  ///< degree buckets (ExecEngine::kBucketed only)
-    std::vector<double> payload;
-    /// The app-data ExchangeNode; persists across sections so payloads a
-    /// fast peer sent ahead (stash) are never dropped at a section join.
-    std::unique_ptr<DsmExchange> exch;
-    double inspector_seconds = 0;
-    std::int64_t rebuilds = 0;
-    std::int64_t ordinals = 0;
-    std::int64_t steps_run = 0;
-    std::size_t refs = 0;
-    std::size_t max_row = 0;
-    bool done = false;
-    double checksum = 0;
-  };
-  std::vector<PerNode> state(nprocs);
-
-  // Seed: each owner writes its own slice (single writer from the first
-  // byte) and mirrors it privately — the same initial values the message
-  // driver copies into x_all.
-  rt.run([&](core::DsmNode& self) {
-    const NodeId me = self.id();
-    const part::Range mine = spec.owner_range[me];
-    const auto local_n = static_cast<std::size_t>(mine.size());
-    PerNode& st = state[me];
-    st.x_all.resize(local_n);
-    std::copy(spec.initial_state.begin() + mine.begin,
-              spec.initial_state.begin() + mine.end, st.x_all.begin());
-    if (local_n > 0) {
-      self.validate({core::DescriptorBuilder::array(xs[me], slice_layout[me])
-                         .elements(0, mine.size() - 1)
-                         .schedule(detail::kSchedUpdateWrite)
-                         .write_all()});
-      std::copy(st.x_all.begin(), st.x_all.end(), self.ptr(xs[me]));
-    }
-    self.barrier();
-  });
-
-  bool timed_section = false;
-
-  auto body = [&](core::DsmNode& self, int steps, int first_global) {
-    const NodeId me = self.id();
-    const part::Range mine = spec.owner_range[me];
-    const auto local_n = static_cast<std::size_t>(mine.size());
-    PerNode& st = state[me];
-    if (!st.exch) st.exch = std::make_unique<DsmExchange>(self);
-    DsmExchange& dx = *st.exch;
-    detail::TmkIrregularNode node(self);
-    T* xp = local_n > 0 ? self.ptr(xs[me]) : nullptr;
-
-    auto fresh_rebuild = [&](std::int64_t ordinal) {
-      std::span<const T> view{};
-      if (spec.rebuild_reads_state) {
-        // The rebuild's whole-state read stays under the page protocol:
-        // one aggregated Validate over every owner's slice — request +
-        // reply per producer, the same 2(N-1) messages per node the
-        // optimized Tmk rebuild pays — then a local copy into the
-        // contiguous view the structure builder expects.  (The message
-        // driver performs this read as an explicit allgather instead.)
-        st.all_state.resize(n);
-        std::vector<core::AccessDescriptor> reads;
-        for (std::uint32_t q = 0; q < nprocs; ++q) {
-          if (q == me || spec.owner_range[q].size() == 0) continue;
-          reads.push_back(
-              core::DescriptorBuilder::array(xs[q], slice_layout[q])
-                  .elements(0, spec.owner_range[q].size() - 1)
-                  .schedule(detail::kSchedRebuildRead)
-                  .read());
-        }
-        self.validate(reads);
-        for (std::uint32_t q = 0; q < nprocs; ++q) {
-          const part::Range range = spec.owner_range[q];
-          if (range.size() == 0) continue;
-          const T* qp = self.ptr(xs[q]);
-          std::copy(qp, qp + range.size(),
-                    st.all_state.begin() + range.begin);
-        }
-        view = st.all_state;
-      }
-
-      WorkItems items = spec.build_items(node, view);
-      const ItemsShape shape = spec.require_valid_items(items);
-      st.refs = shape.num_refs;
-      st.max_row = shape.max_row;
-
-      // Inspector over the app-data plane: identical schedule, ghost-slot
-      // assignment, and message count as the message driver's — only the
-      // fabric underneath differs.
-      chaos::InspectorStats istats;
-      st.sched = std::make_shared<const chaos::Schedule>(
-          chaos::build_schedule(dx, items.refs, table, &istats));
-      st.inspector_seconds += istats.seconds;
-      ++st.rebuilds;
-      st.localized =
-          chaos::localize_references(me, items.refs, table, *st.sched);
-      if (session != nullptr) {
-        session->fresh_builds.fetch_add(1, std::memory_order_relaxed);
-        if (session->store) {
-          CachedRebuild record;
-          record.items = items;  // copy: payload/offsets are moved below
-          record.shape = shape;
-          record.chaos_schedule = st.sched;
-          record.chaos_localized = st.localized;
-          session->store(me, ordinal, std::move(record));
-        }
-      }
-      st.payload = std::move(items.payload);
-      st.row_offsets = std::move(items.row_offsets);
-    };
-
-    auto rebuild_fn = [&](int /*global_step*/) {
-      // Ordinal-indexed schedule cache, exactly as in the message driver:
-      // hit/miss decisions are uniform across nodes (the cache is
-      // committed whole), so the collective Validate inside fresh_rebuild
-      // can never be entered by only some of them.
-      const std::int64_t ordinal = st.ordinals++;
-      const CachedRebuild* cached =
-          (session != nullptr && session->lookup)
-              ? session->lookup(me, ordinal)
-              : nullptr;
-      const net::Traffic sent0 = rt.network().stats().node_traffic(me);
-
-      if (cached != nullptr) {
-        st.refs = cached->shape.num_refs;
-        st.max_row = cached->shape.max_row;
-        st.payload = cached->items.payload;
-        st.row_offsets = cached->items.row_offsets;
-        st.sched = cached->chaos_schedule;
-        st.localized = cached->chaos_localized;
-        session->cached_builds.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        fresh_rebuild(ordinal);
-      }
-      if (options.exec_engine == ExecEngine::kBucketed) {
-        st.buckets = RowBuckets::build(st.row_offsets);
-      }
-      st.x_all.resize(local_n + static_cast<std::size_t>(st.sched->num_ghosts));
-      st.f_all.assign(local_n + static_cast<std::size_t>(st.sched->num_ghosts),
-                      spec.f_identity);
-      if (session != nullptr && timed_section) {
-        const net::Traffic sent =
-            rt.network().stats().node_traffic(me) - sent0;
-        session->structure_messages.fetch_add(sent.messages,
-                                              std::memory_order_relaxed);
-        session->structure_bytes.fetch_add(sent.bytes,
-                                           std::memory_order_relaxed);
-      }
-    };
-
-    auto execute_fn = [&](int /*global_step*/) {
-      const auto ghosts = static_cast<std::size_t>(st.sched->num_ghosts);
-
-      // Gather sources read the owner's slice — the state region's local
-      // read path — and land in the private ghost region; schedule-order
-      // identical to the message driver, so ghost values are bitwise
-      // equal.
-      chaos::gather<T>(dx, *st.sched, std::span<const T>(xp, local_n),
-                       std::span<T>(st.x_all.data() + local_n, ghosts));
-      std::fill(st.f_all.begin(), st.f_all.end(), spec.f_identity);
-      KernelCtx<T> ctx;
-      ctx.row_offsets = st.row_offsets;
-      ctx.refs = st.localized;
-      ctx.payload = st.payload;
-      ctx.x = st.x_all;
-      ctx.f = st.f_all;
-      if (options.exec_engine == ExecEngine::kBucketed) {
-        ctx.buckets = &st.buckets;
-      }
-      spec.compute(node, ctx);
-      chaos::scatter<T>(dx, *st.sched, std::span<T>(st.f_all.data(), local_n),
-                        std::span<const T>(st.f_all.data() + local_n, ghosts),
-                        [&spec](T a, T b) { return spec.combine(a, b); });
-
-      if (spec.update) {
-        // Owner update of the state slice under the page protocol:
-        // READ&WRITE_ALL — the owner's pages are always valid locally, so
-        // no fetch; every byte is rewritten, so the step barrier ships
-        // whole pages and no twins are created.  The private mirror is
-        // refreshed afterwards so the next compute reads current values.
-        if (local_n > 0) {
-          self.validate(
-              {core::DescriptorBuilder::array(xs[me], slice_layout[me])
-                   .elements(0, mine.size() - 1)
-                   .schedule(detail::kSchedUpdateWrite)
-                   .read_write_all()});
-        }
-        spec.update(std::span<T>(xp, local_n),
-                    std::span<const T>(st.f_all.data(), local_n));
-        std::copy(xp, xp + local_n, st.x_all.begin());
-      }
-    };
-
-    auto finish_fn = [&](int /*global_step*/, bool /*last*/) -> bool {
-      // Convergence by allgather of the verdict byte over the app-data
-      // plane — the indirection region's strategy owns the irregular
-      // communication, and the byte counts match the message driver's.
-      bool all_done = false;
-      if (has_conv) {
-        const bool mine_done = spec.converged(
-            node, std::span<const T>(st.x_all.data(), local_n));
-        std::vector<std::vector<std::uint8_t>> out(nprocs);
-        for (NodeId q = 0; q < nprocs; ++q) {
-          if (q != me) out[q] = {static_cast<std::uint8_t>(mine_done ? 1 : 0)};
-        }
-        auto in = dx.all_to_all(std::move(out));
-        all_done = mine_done;
-        for (NodeId q = 0; q < nprocs; ++q) {
-          if (q != me) all_done = all_done && !in[q].empty() && in[q][0] != 0;
-        }
-      }
-      // The step barrier is the DSM barrier: it publishes the slice
-      // update's write notices (piggybacked — no extra messages) and
-      // counts the same 2(N-1) messages the message driver's barrier
-      // does, preserving message-count comparability.
-      self.barrier();
-      return all_done;
-    };
-
-    auto strat = make_strategy(rebuild_fn, execute_fn, finish_fn);
-    drive_steps(spec, strat, steps, first_global, st.steps_run, st.done);
-  };
-
-  const NodeId rep = rt.first_local_node();
-  std::int64_t warm_steps_run = 0;
-  const SectionTimes t = run_sections(
-      rt, stats_entry, spec.warmup_steps, spec.num_steps, body,
-      [&] {
-        warm_steps_run = state[rep].steps_run;
-        timed_section = true;
-      },
-      [&](core::DsmNode& self) {
-        const NodeId me = self.id();
-        const auto local_n =
-            static_cast<std::size_t>(spec.owner_range[me].size());
-        state[me].checksum = spec.checksum(
-            std::span<const T>(state[me].x_all.data(), local_n));
-      });
-
-  KernelResult res;
-  res.backend = Backend::kHybrid;
-  res.seconds = t.wall_seconds;
-  res.messages = t.net_timed.messages();
-  res.megabytes = t.net_timed.megabytes();
-  res.bytes = t.net_timed.bytes();
-  // Structure-currency overhead has both flavors here: inspector time
-  // (chaos-style, per node) plus any Read_indices scans (none today — the
-  // hybrid shares no LIST array — but accounted for honesty).
-  double insp = 0;
-  for (const NodeId q : rt.local_ids()) insp += state[q].inspector_seconds;
-  res.overhead_seconds =
-      insp / rt.num_local_nodes() +
-      (t.warm_scan_s + static_cast<double>(t.timed.scan_ns) / 1e9) /
-          rt.num_local_nodes();
-  res.diff_create_seconds =
-      static_cast<double>(t.timed.diff_create_ns) / 1e9 /
-      rt.num_local_nodes();
-  res.diff_apply_seconds =
-      static_cast<double>(t.timed.diff_apply_ns) / 1e9 /
-      rt.num_local_nodes();
-  res.rebuilds = state[rep].rebuilds;
-  std::vector<NodeAccount> accounts;
-  accounts.reserve(rt.num_local_nodes());
-  for (const NodeId q : rt.local_ids()) {
-    const PerNode& st = state[q];
-    accounts.push_back({st.checksum, st.refs, st.max_row});
-  }
-  fold_accounts(res, accounts);
-  res.steps_run = state[rep].steps_run - warm_steps_run;
-  if (res.steps_run > 0) {
-    res.barriers_per_step = static_cast<double>(t.timed.barriers) /
-                            rt.num_local_nodes() /
-                            static_cast<double>(res.steps_run);
-  }
-  res.tmk = counters_from(t.timed);
-  return res;
-}
-
-// ---------------------------------------------------------------------------
-// run_dsm: resolve the plan, dispatch.
-// ---------------------------------------------------------------------------
-
 template <typename T>
 KernelResult run_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
                      RunSession* session, const BackendOptions& options,
-                     std::uint32_t num_nodes, Backend kind) {
-  spec.require_valid(num_nodes);
-  // The runtime may be a warm, long-lived arena (serving path): it must
-  // match this backend's shape and have been reset since its last job so
-  // allocation addresses — and therefore page layout and traffic — are
-  // identical to a fresh one-shot runtime.
-  SDSM_REQUIRE(rt.num_nodes() == num_nodes);
-  SDSM_REQUIRE(rt.config().transport == options.transport);
-  SDSM_REQUIRE(rt.config().write_all_enabled == options.write_all_enabled);
-  SDSM_REQUIRE(rt.config().coherence == options.coherence);
-  // The diff engine is baked into the arena's config at construction, so
-  // a warm engine keyed without it would silently scan with the wrong
-  // engine; fail loudly instead (the serve layer keys engines on it).
-  SDSM_REQUIRE_MSG(rt.config().diff_engine == options.diff_engine,
-                   "run_dsm: runtime was built with a different diff engine "
-                   "than this run requests");
-  SDSM_REQUIRE_MSG(rt.shared_bytes_used() == 0,
-                   "run_dsm: runtime arena not reset");
-
-  ExecutionPlan p = plan_for(kind);
-  if (kind == Backend::kHybrid) {
-    if (spec.indirection_strategy.has_value()) {
-      p.indirection = *spec.indirection_strategy;
-    } else {
-      // Derive from the write census of the state layout the hybrid would
-      // allocate: page-aligned per-node slices are single-writer, so this
-      // normally resolves to kInspectorGather; a spec whose layout folds
-      // multi-writer pages falls back to the pure page-protocol path.
-      p.indirection = classify_indirection(
-          census_for_layout(spec.owner_range, sizeof(T), rt.page_size()));
-    }
-  }
-  if (p.mixed()) {
-    return run_hybrid(rt, spec, session, options, num_nodes);
-  }
-  return run_page_dsm(rt, spec, session, options, num_nodes,
-                      p.validate_aggregation, kind);
-}
+                     std::uint32_t num_nodes, Backend kind);
 
 }  // namespace sdsm::api::plan

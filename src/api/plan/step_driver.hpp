@@ -1,18 +1,17 @@
 // StepDriver: the one copy of the outer step loop.
 //
-// Every backend used to carry its own rebuild-cadence / step-execution /
-// convergence loop; the three copies have been folded into drive_steps(),
-// parameterized by a Strategy that knows how one region assignment
-// (plan::ExecutionPlan) realizes each phase.  The Strategy duck-type
-// contract:
+// Two access strategies realize each step's phases — page-dsm (the page
+// protocol, with or without Validate aggregation) and inspector-gather
+// (plan/inspector_gather.hpp, over CHAOS messages or the DSM's app-data
+// plane) — and drive_steps() sequences them, one call per phase:
 //
-//   void rebuild(int global_step);
+//   rebuild(int global_step)
 //       Structure (re)build for this step.  Called only when
 //       spec.rebuild_needed(global_step) says so.
-//   void execute_step(int global_step);
+//   execute_step(int global_step)
 //       The computational step: gather/compute/reduce/update under the
 //       plan's strategies.
-//   bool finish_step(int global_step, bool last_in_section);
+//   finish_step(int global_step, bool last_in_section) -> bool
 //       Step epilogue — convergence verdict exchange, step barrier, any
 //       cross-step prefetch (suppressed when last_in_section).  Returns
 //       true when the kernel has globally converged.
@@ -26,35 +25,16 @@
 
 namespace sdsm::api::plan {
 
-/// A Strategy composed from three callables — how the drivers assemble a
-/// concrete strategy for one plan::ExecutionPlan without naming a class
-/// per assignment.
-template <typename R, typename E, typename F>
-struct ComposedStrategy {
-  R rebuild_fn;
-  E execute_fn;
-  F finish_fn;
-  void rebuild(int global_step) { rebuild_fn(global_step); }
-  void execute_step(int global_step) { execute_fn(global_step); }
-  bool finish_step(int global_step, bool last_in_section) {
-    return finish_fn(global_step, last_in_section);
-  }
-};
-
-template <typename R, typename E, typename F>
-ComposedStrategy<R, E, F> make_strategy(R rebuild, E execute, F finish) {
-  return {std::move(rebuild), std::move(execute), std::move(finish)};
-}
-
-template <typename Spec, typename Strategy>
-void drive_steps(const Spec& spec, Strategy& strat, int steps,
-                 int first_global_step, std::int64_t& steps_run, bool& done) {
+template <typename Spec, typename Rebuild, typename Execute, typename Finish>
+void drive_steps(const Spec& spec, int steps, int first_global_step,
+                 std::int64_t& steps_run, bool& done, Rebuild&& rebuild,
+                 Execute&& execute_step, Finish&& finish_step) {
   for (int s = 0; s < steps; ++s) {
     if (done) break;
     const int global_step = first_global_step + s;
-    if (spec.rebuild_needed(global_step)) strat.rebuild(global_step);
-    strat.execute_step(global_step);
-    done = strat.finish_step(global_step, /*last_in_section=*/s + 1 >= steps);
+    if (spec.rebuild_needed(global_step)) rebuild(global_step);
+    execute_step(global_step);
+    done = finish_step(global_step, /*last_in_section=*/s + 1 >= steps);
     ++steps_run;
   }
 }

@@ -21,13 +21,9 @@ struct RunSession;
 
 class TmkBackend final : public IrregularRuntime {
  public:
-  TmkBackend(std::uint32_t num_nodes, bool optimized, BackendOptions options)
-      : TmkBackend(num_nodes,
-                   optimized ? Backend::kTmkOptimized : Backend::kTmkBase,
-                   options) {}
-
   /// Any DSM-substrate backend kind: kTmkBase, kTmkOptimized, or kHybrid
-  /// (the mixed per-region plan — see src/api/plan/dsm_driver.hpp).
+  /// (page-dsm state, inspector-gather indirection).  plan::run_dsm in
+  /// src/api/plan/dsm_driver.cpp resolves the kind to its strategies.
   TmkBackend(std::uint32_t num_nodes, Backend kind, BackendOptions options)
       : num_nodes_(num_nodes), kind_(kind), options_(options) {}
 

@@ -76,8 +76,6 @@ class ChaosRuntime {
   std::uint32_t num_nodes() const { return net_->num_nodes(); }
   net::Transport& network() { return *net_; }
 
-  std::uint64_t total_messages() { return net_->stats().messages(); }
-  double total_megabytes() { return net_->stats().megabytes(); }
   /// Barrier arrivals summed over nodes (each global barrier counts once
   /// per node, at entry — so at a barrier's quiescent at_master point the
   /// barrier itself is fully counted).  Measured, like messages, so the

@@ -41,8 +41,4 @@ class InProcTransport final : public ChannelTransport {
   std::uint64_t jitter_state_;
 };
 
-/// Historical name of the in-process fabric, kept for existing call sites;
-/// new code should hold a net::Transport and use make_transport.
-using Network = InProcTransport;
-
 }  // namespace sdsm::net

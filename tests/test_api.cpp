@@ -7,6 +7,7 @@
 #include <memory>
 
 #include "src/api/api.hpp"
+#include "src/api/chaos_backend.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/apps/pagerank/pagerank.hpp"
 #include "src/apps/spmv/spmv.hpp"
@@ -276,6 +277,31 @@ TEST(CrossBackend, PageRankMessageCountsAgreeAcrossTransports) {
     EXPECT_EQ(ri.messages, rs.messages) << backend_name(b);
     EXPECT_EQ(ri.megabytes, rs.megabytes) << backend_name(b);
     EXPECT_TRUE(checksum_close(ri.checksum, rs.checksum)) << backend_name(b);
+  }
+}
+
+// KernelResult::bytes is the exact payload-byte count, on CHAOS as on the
+// DSM backends: the result must equal the transport's own integer byte
+// delta around the run, with no rounding through megabytes.  With no warmup
+// every byte the run sends falls in the timed window, and the snapshot
+// barriers carry no payload.  Both sizes truncated by one byte when the
+// count took a round trip through a double.
+TEST(ChaosAccounting, BytesEqualTransportDelta) {
+  for (const std::int64_t rows : {29797, 30128}) {
+    apps::spmv::Params p;
+    p.num_rows = rows;
+    p.nprocs = 4;
+    p.warmup_steps = 0;
+    p.num_steps = 3;
+    const BackendOptions opts = apps::spmv::default_options();
+    chaos::ChaosRuntime rt(p.nprocs, opts.wire, opts.transport);
+    ChaosBackend backend(p.nprocs, opts);
+    const std::uint64_t before = rt.network().stats().bytes();
+    const KernelResult r =
+        backend.run_on(rt, apps::spmv::make_kernel(p), nullptr);
+    const std::uint64_t sent = rt.network().stats().bytes() - before;
+    EXPECT_EQ(r.bytes, sent) << rows << " rows";
+    EXPECT_EQ(r.megabytes, static_cast<double>(sent) / 1e6) << rows << " rows";
   }
 }
 

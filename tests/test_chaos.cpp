@@ -150,7 +150,7 @@ TEST(Inspector, DistributedTableLookupsGenerateMessages) {
       for (std::int64_t i = 0; i < n; i += 3) refs.push_back(i);
       build_schedule(node, refs, table);
     });
-    return rt.total_messages();
+    return rt.network().stats().messages();
   };
 
   // The distributed table needs two extra all-to-all rounds.
@@ -279,7 +279,7 @@ TEST(Executor, OneMessagePerDirectionPerActivePair) {
       }
       node.barrier();
     });
-    return rt.total_messages();
+    return rt.network().stats().messages();
   };
 
   EXPECT_EQ(run_once(true) - run_once(false), 1u);
