@@ -53,10 +53,13 @@ void ablation_aggregation() {
       }
       self.barrier();
     });
-    t.add(harness::Row{"32 pages from 1 producer",
-                       use_validate ? "Validate (aggregated)" : "demand paging",
-                       0, 0, rt.total_messages(), rt.total_megabytes(),
-                       0, use_validate ? "1 request pair" : "1 pair per page"});
+    api::KernelResult r;
+    r.messages = rt.total_messages();
+    r.megabytes = rt.total_megabytes();
+    t.add(harness::kernel_row(
+        "32 pages from 1 producer",
+        use_validate ? "Validate (aggregated)" : "demand paging", r, 0,
+        use_validate ? "1 request pair" : "1 pair per page"));
   }
   t.print(std::cout);
   t.print_csv(std::cout);
@@ -82,9 +85,9 @@ void ablation_write_all() {
                   static_cast<unsigned long long>(r.tmk.twins_created),
                   static_cast<unsigned long long>(r.tmk.whole_pages),
                   static_cast<unsigned long long>(r.tmk.diff_bytes));
-    t.add(harness::Row{"nbf 8192x16, 4 nodes",
-                       write_all ? "WRITE_ALL on" : "WRITE_ALL off", r.seconds,
-                       0, r.messages, r.megabytes, 0, note});
+    t.add(harness::kernel_row("nbf 8192x16, 4 nodes",
+                              write_all ? "WRITE_ALL on" : "WRITE_ALL off",
+                              r, 0, note));
   }
   t.print(std::cout);
   t.print_csv(std::cout);
@@ -111,8 +114,8 @@ void ablation_false_sharing() {
     std::snprintf(group, sizeof(group), "%lld molecules (%lld/node)",
                   static_cast<long long>(molecules),
                   static_cast<long long>(per_node));
-    t.add(harness::Row{group, per_node % 512 == 0 ? "aligned" : "misaligned",
-                       r.seconds, 0, r.messages, r.megabytes, 0, ""});
+    t.add(harness::kernel_row(
+        group, per_node % 512 == 0 ? "aligned" : "misaligned", r));
   }
   t.print(std::cout);
   t.print_csv(std::cout);

@@ -94,27 +94,18 @@ void add_row(harness::Table& table, const char* group, api::Backend b,
   std::snprintf(note, sizeof(note), "checksum %s, %lld rebuilds",
                 checksum_close(seq_checksum, r.checksum) ? "OK" : "MISMATCH",
                 static_cast<long long>(r.rebuilds));
+  harness::Row row =
+      harness::kernel_row(group, api::backend_name(b), r, seq_seconds, note);
   // The schedule column names the reduction-round engine; CHAOS has no
   // notion of reduction rounds, so its rows carry "-".
-  const char* schedule = b == api::Backend::kChaos
-                             ? "-"
-                             : api::round_schedule_name(opts.round_schedule);
-  harness::Row row{group, api::backend_name(b), r.seconds,
-                   harness::speedup(seq_seconds, r.seconds), r.messages,
-                   r.megabytes, r.overhead_seconds, note, seq_seconds,
-                   r.refs, r.max_row, schedule, r.barriers_per_step,
-                   r.rebuilds};
-  row.diff_create_seconds = r.diff_create_seconds;
-  row.diff_apply_seconds = r.diff_apply_seconds;
-  if (opts.coherence == coherence::CoherencePolicy::kAdaptive) {
-    // Adaptive rows carry the decision counters as extra exact-gate
-    // columns; static rows omit them so the pre-existing JSON stays
-    // byte-identical.  CHAOS ignores the policy and reports zeros.
-    row.coherence_cols = true;
-    row.replications = r.tmk.replications;
-    row.migrations = r.tmk.migrations;
-    row.ghost_promotions = r.tmk.ghost_promotions;
+  if (b != api::Backend::kChaos) {
+    row.schedule = api::round_schedule_name(opts.round_schedule);
   }
+  // Adaptive rows carry the decision counters as extra exact-gate columns;
+  // static rows omit them so the pre-existing JSON stays byte-identical.
+  // CHAOS ignores the policy and reports zeros.
+  row.coherence_cols =
+      opts.coherence == coherence::CoherencePolicy::kAdaptive;
   table.add(std::move(row));
 }
 
@@ -190,17 +181,14 @@ void add_serve_row(harness::Table& table, const char* group,
                 checksum_close(seq_checksum, s.checksum) ? "OK" : "MISMATCH",
                 static_cast<long long>(s.inspector_runs),
                 static_cast<unsigned long long>(s.structure_messages));
-  harness::Row row;
-  row.group = group;
-  row.variant = api::backend_name(s.backend);
-  row.seconds = s.run_seconds;
-  row.speedup = harness::speedup(seq_seconds, s.run_seconds);
-  row.messages = s.messages;
-  row.megabytes = s.megabytes;
-  row.note = note;
-  row.seq_seconds = seq_seconds;
+  api::KernelResult r;  // the job's traffic and rebuilds only
+  r.seconds = s.run_seconds;
+  r.messages = s.messages;
+  r.megabytes = s.megabytes;
+  r.rebuilds = s.rebuilds;
+  harness::Row row = harness::kernel_row(group, api::backend_name(s.backend),
+                                         r, seq_seconds, note);
   row.schedule = s.backend == api::Backend::kChaos ? "-" : "serial";
-  row.rebuilds = s.rebuilds;
   table.add(row);
 }
 
@@ -321,9 +309,9 @@ void add_serve_groups(harness::Table& table,
   harness::Row row;
   row.group = "serve throughput mixed stream";
   row.variant = "1 worker";
-  row.seconds = elapsed;
-  row.messages = total_messages;
-  row.megabytes = total_mb;
+  row.result.seconds = elapsed;
+  row.result.messages = total_messages;
+  row.result.megabytes = total_mb;
   row.note = note;
   row.jobs_per_sec =
       elapsed > 0 ? static_cast<double>(ids.size()) / elapsed : 0;
@@ -375,21 +363,15 @@ void add_fault_latency_rows(harness::Table& table) {
   char note[96];
   std::snprintf(note, sizeof(note), "segv->resident per page, checksum %.0f",
                 sink);
-  harness::Row cold_row;
-  cold_row.group = "fault latency 256 pages";
-  cold_row.variant = "cold";
-  cold_row.seconds = cold_s / kPages;
-  cold_row.messages = delta.messages();  // the faults' fetch round trips
-  cold_row.megabytes = delta.megabytes();
-  cold_row.note = note;
-  table.add(cold_row);
-
-  harness::Row warm_row;
-  warm_row.group = "fault latency 256 pages";
-  warm_row.variant = "warm";
-  warm_row.seconds = warm_s / kPages;
-  warm_row.note = "resident re-read, no fault, no traffic";
-  table.add(warm_row);
+  api::KernelResult cold, warm;
+  cold.seconds = cold_s / kPages;
+  cold.messages = delta.messages();  // the faults' fetch round trips
+  cold.megabytes = delta.megabytes();
+  warm.seconds = warm_s / kPages;
+  table.add(harness::kernel_row("fault latency 256 pages", "cold", cold, 0,
+                                note));
+  table.add(harness::kernel_row("fault latency 256 pages", "warm", warm, 0,
+                                "resident re-read, no fault, no traffic"));
 }
 
 /// The process-mode deployment rows: the identical spmv job as spawned
@@ -433,21 +415,9 @@ void add_proc_rows(harness::Table& table,
       char note[96];
       std::snprintf(note, sizeof(note), "parity vs threads %s",
                     parity ? "OK" : "MISMATCH");
-      harness::Row row;
-      row.group = "proc spmv 4096x8 processes";
-      row.variant = api::backend_name(b);
-      row.seconds = lr.result.seconds;
-      row.messages = lr.result.messages;
-      row.megabytes = lr.result.megabytes;
-      row.overhead_seconds = lr.result.overhead_seconds;
-      row.diff_create_seconds = lr.result.diff_create_seconds;
-      row.diff_apply_seconds = lr.result.diff_apply_seconds;
-      row.note = note;
-      row.refs = lr.result.refs;
-      row.max_row = lr.result.max_row;
-      row.barriers_per_step = lr.result.barriers_per_step;
-      row.rebuilds = lr.result.rebuilds;
-      table.add(row);
+      table.add(harness::kernel_row("proc spmv 4096x8 processes",
+                                    api::backend_name(b), lr.result, 0,
+                                    note));
     }
   }
 }

@@ -47,10 +47,8 @@ int main() {
     char note[96];
     std::snprintf(note, sizeof(note), "%lld inspector runs",
                   static_cast<long long>(ch.rebuilds));
-    t1.add(harness::Row{group, "CHAOS", ch.seconds, 0, ch.messages,
-                        ch.megabytes, ch.overhead_seconds, note});
-    t1.add(harness::Row{group, "Tmk optimized", tk.seconds, 0, tk.messages,
-                        tk.megabytes, tk.overhead_seconds, "Validate scan"});
+    t1.add(harness::kernel_row(group, "CHAOS", ch, 0, note));
+    t1.add(harness::kernel_row(group, "Tmk optimized", tk, 0, "Validate scan"));
     if (tk.seconds >= ch.seconds) tmk_always_faster_with_inspector = false;
   }
   t1.print(std::cout);
@@ -75,12 +73,10 @@ int main() {
     const auto ch = nbf::run(api::Backend::kChaos, p, opts);
     const auto tk = nbf::run(api::Backend::kTmkOptimized, p, opts);
 
-    t2.add(harness::Row{"16 x 1024", "CHAOS", ch.seconds, 0, ch.messages,
-                        ch.megabytes, ch.overhead_seconds,
-                        "inspector excluded from time"});
-    t2.add(harness::Row{"16 x 1024", "Tmk optimized", tk.seconds, 0,
-                        tk.messages, tk.megabytes, tk.overhead_seconds,
-                        "scan paid in warmup"});
+    t2.add(harness::kernel_row("16 x 1024", "CHAOS", ch, 0,
+                               "inspector excluded from time"));
+    t2.add(harness::kernel_row("16 x 1024", "Tmk optimized", tk, 0,
+                               "scan paid in warmup"));
     std::printf("\n");
     t2.print(std::cout);
     t2.print_csv(std::cout);

@@ -66,10 +66,8 @@ int main() {
         std::snprintf(note, sizeof(note), "list scan %.4f s/node",
                       r.overhead_seconds);
       }
-      table.add(harness::Row{group, api::backend_name(b), r.seconds,
-                             harness::speedup(seq.seconds, r.seconds),
-                             r.messages, r.megabytes, r.overhead_seconds,
-                             note});
+      table.add(harness::kernel_row(group, api::backend_name(b), r,
+                                    seq.seconds, note));
     }
   }
 

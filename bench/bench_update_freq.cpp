@@ -54,10 +54,7 @@ int main() {
       char note[64];
       std::snprintf(note, sizeof(note), "inspector %.3f s/node x%lld",
                     r.overhead_seconds, static_cast<long long>(r.rebuilds));
-      table.add(harness::Row{group, "CHAOS", r.seconds,
-                             harness::speedup(seq.seconds, r.seconds),
-                             r.messages, r.megabytes, r.overhead_seconds,
-                             note});
+      table.add(harness::kernel_row(group, "CHAOS", r, seq.seconds, note));
     }
     {
       api::BackendOptions opts = moldyn::default_options();
@@ -66,10 +63,8 @@ int main() {
       char note[64];
       std::snprintf(note, sizeof(note), "list scan %.4f s/node",
                     r.overhead_seconds);
-      table.add(harness::Row{group, "Tmk optimized", r.seconds,
-                             harness::speedup(seq.seconds, r.seconds),
-                             r.messages, r.megabytes, r.overhead_seconds,
-                             note});
+      table.add(
+          harness::kernel_row(group, "Tmk optimized", r, seq.seconds, note));
     }
   }
 

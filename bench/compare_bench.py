@@ -4,28 +4,30 @@
 Usage:
     python3 bench/compare_bench.py BASELINE.json CANDIDATE.json [--threshold 0.10]
 
-Rows are matched by (group, variant).  For each matched row the script
-reports the relative change in wall-clock seconds, messages, data volume,
-barriers per step, rebuilds, serving throughput (jobs/sec), and schedule
-cache hits, and flags any metric that regressed by more than the
-threshold (default 10%).  Regression direction is per-metric: most
-metrics regress by growing, jobs/sec regresses by shrinking.
+Rows are matched by (group, variant).  The metrics and their gate
+classes come from the candidate's "columns" header, which the harness
+generates from the result schema (SDSM_KERNEL_RESULT_FIELDS in
+src/api/kernel.hpp): each column is gated "exact", "lower" (lower is
+better), "higher" (higher is better) or "none".  For each matched row the
+script reports the relative change in every gated column and flags any
+that regressed by more than the threshold (default 10%) in its bad
+direction: "higher" columns regress by shrinking, the rest by growing.
 
-Timing-derived rows (seconds, jobs/sec) are noisy on shared runners;
-message, byte, barrier, rebuild, and cache-hit counts are exact and
-deterministic, so `--exact` ignores timing entirely and instead fails on
-ANY difference in those metrics (growth or shrinkage — an unexplained
-decrease signals a traffic-accounting bug just as loudly, and a
-cache-hit count drifting in either direction means the serving layer's
-schedule cache changed behaviour).  CI runs the script twice: once plain
-for the human-readable diff, once with --exact as the gate.
+Timing-derived columns ("lower"/"higher") are noisy on shared runners;
+"exact" columns (messages, bytes, barriers, rebuilds, cache hits, the
+coherence decisions) are deterministic, so `--exact` ignores timing
+entirely and instead fails on ANY difference in them (growth or
+shrinkage — an unexplained decrease signals a traffic-accounting bug just
+as loudly).  CI runs the script twice: once plain for the human-readable
+diff, once with --exact as the gate.
 
 Exit status distinguishes outcomes so CI can treat the plain pass as
 advisory without swallowing real failures:
     0  clean
     1  regression / exact-metric mismatch (advisory in the plain pass)
     2  the comparison itself failed (missing file, unreadable JSON,
-       malformed rows) — always a CI failure, never advisory
+       malformed rows, a candidate without the "columns" header) —
+       always a CI failure, never advisory
 """
 
 import argparse
@@ -36,40 +38,29 @@ EXIT_CLEAN = 0
 EXIT_REGRESSION = 1
 EXIT_ERROR = 2
 
-METRICS = [
-    # (key, pretty name,
-    #  exact: deterministic, gated bidirectionally by --exact,
-    #  higher_is_better: which direction counts as the regression in
-    #  plain mode — jobs/sec shrinking is a regression, everything else
-    #  growing is)
-    ("seconds", "time", False, False),
-    ("messages", "messages", True, False),
-    ("megabytes", "data", True, False),
-    ("barriers_per_step", "barriers", True, False),
-    ("rebuilds", "rebuilds", True, False),
-    ("jobs_per_sec", "jobs/s", False, True),
-    ("cache_hits", "hits", True, False),
-    # Adaptive-coherence decision counters.  Only adaptive rows carry the
-    # keys; rows without them read as 0 on both sides, so pre-existing
-    # static rows gate exactly as before.
-    ("replications", "repl", True, False),
-    ("migrations", "migr", True, False),
-    # Diff hot-path wall time (per node): twin-vs-page scans and
-    # Diff::apply loops.  Timing-derived like `seconds`, so direction-aware
-    # in plain mode and ignored by --exact — the diff-engine A/B moves
-    # these while its traffic stays byte-identical.
-    ("diff_create_seconds", "diff-mk", False, False),
-    ("diff_apply_seconds", "diff-ap", False, False),
-]
+GATES = ("exact", "lower", "higher")
 
 
-def load_rows(path):
+def load(path):
     with open(path) as f:
-        doc = json.load(f)
+        return json.load(f)
+
+
+def rows_of(doc):
     rows = {}
     for r in doc.get("rows", []):
         rows[(r["group"], r["variant"])] = r
     return rows
+
+
+def gated_columns(doc):
+    """The (key, gate) pairs of the document's "columns" header that are
+    gated at all, in emission order.  The header is required: a candidate
+    without it cannot say what to gate."""
+    if "columns" not in doc:
+        raise ValueError('candidate has no "columns" header')
+    return [(c["key"], c["gate"]) for c in doc["columns"]
+            if c["gate"] in GATES]
 
 
 def fmt_delta(base, cand):
@@ -78,13 +69,13 @@ def fmt_delta(base, cand):
     return f"{(cand - base) / base:+.1%}"
 
 
-def compare(base, cand, threshold, exact):
+def compare(base, cand, metrics, threshold, exact):
     """Returns (report_lines, regression_lines)."""
     report = []
     regressions = []
     width = max((len(f"{g} / {v}") for g, v in cand), default=20)
     header = f"{'row':<{width}}" + "".join(
-        f"  {name:>9}" for _, name, _, _ in METRICS)
+        f"  {name:>{max(9, len(name))}}" for name, _ in metrics)
     report.append(header)
     report.append("-" * len(header))
     for key in sorted(cand):
@@ -95,14 +86,14 @@ def compare(base, cand, threshold, exact):
             continue
         b, c = base[key], cand[key]
         cells = []
-        for metric, name, is_exact, higher_is_better in METRICS:
-            bv, cv = b.get(metric, 0), c.get(metric, 0)
-            cells.append(fmt_delta(bv, cv))
-            # The regression direction flips for throughput metrics:
-            # fewer jobs/sec is the regression, not more.
-            bad_delta = (bv - cv) if higher_is_better else (cv - bv)
+        for name, gate in metrics:
+            bv, cv = b.get(name, 0), c.get(name, 0)
+            cells.append((name, fmt_delta(bv, cv)))
+            # The regression direction flips for higher-is-better columns
+            # (throughput): the drop is the regression, not the growth.
+            bad_delta = (bv - cv) if gate == "higher" else (cv - bv)
             if exact:
-                if is_exact and bv != cv:
+                if gate == "exact" and bv != cv:
                     regressions.append(
                         f"{key[0]} / {key[1]}: {name} must be exact, "
                         f"{bv} -> {cv}"
@@ -112,8 +103,8 @@ def compare(base, cand, threshold, exact):
                     f"{key[0]} / {key[1]}: {name} {fmt_delta(bv, cv)} "
                     f"({bv} -> {cv})"
                 )
-        report.append(f"{f'{key[0]} / {key[1]}':<{width}}" +
-                      "".join(f"  {cell:>9}" for cell in cells))
+        report.append(f"{f'{key[0]} / {key[1]}':<{width}}" + "".join(
+            f"  {cell:>{max(9, len(name))}}" for name, cell in cells))
     for key in sorted(base.keys() - cand.keys()):
         report.append(f"{key[0]} / {key[1]}: row disappeared")
         if exact:
@@ -137,8 +128,8 @@ def main():
         "--exact",
         action="store_true",
         help="gate mode: ignore timing, fail on any difference in the "
-        "deterministic metrics (messages/megabytes/barriers/rebuilds/"
-        "cache_hits) in either direction",
+        "columns the candidate's header gates \"exact\", in either "
+        "direction",
     )
     args = ap.parse_args()
 
@@ -146,12 +137,14 @@ def main():
     # on stderr and exit 2 so CI never mistakes a crashed gate for a clean
     # (or merely advisory) one.
     try:
-        base = load_rows(args.baseline)
-        cand = load_rows(args.candidate)
+        base = rows_of(load(args.baseline))
+        cand_doc = load(args.candidate)
+        metrics = gated_columns(cand_doc)
         # The comparison itself is inside the guard too: a row with a
         # null/string metric value raises during arithmetic, and that is a
         # crashed gate (2), not a regression verdict (1).
-        report, regressions = compare(base, cand, args.threshold, args.exact)
+        report, regressions = compare(base, rows_of(cand_doc), metrics,
+                                      args.threshold, args.exact)
     except OSError as e:
         print(f"compare_bench: cannot read input: {e}", file=sys.stderr)
         return EXIT_ERROR

@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Unit tests for compare_bench.py — the script that gates every merge via
 `--exact` deserves coverage of its own: row matching (missing / added /
-disappeared rows), threshold boundaries, bidirectional exactness, and the
-exit-code contract (0 clean, 1 regression, 2 the comparison itself
-crashed).
+disappeared rows), threshold boundaries, bidirectional exactness, gates
+read from the candidate's "columns" header, and the exit-code contract
+(0 clean, 1 regression, 2 the comparison itself crashed).
 
 Runs under plain `python3 bench/test_compare_bench.py` (unittest only, no
 pytest dependency) and is registered with ctest as test_compare_bench_py.
@@ -18,6 +18,17 @@ import unittest
 
 SCRIPT = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "compare_bench.py")
+
+
+# A header shaped like the one bench_api writes (harness::Table::print_json
+# generates it from the result schema).
+COLUMNS = [{"key": k, "gate": g} for g, keys in (
+    ("none", "group variant refs note"),
+    ("lower", "seconds diff_create_seconds diff_apply_seconds"),
+    ("higher", "jobs_per_sec"),
+    ("exact", "messages megabytes rebuilds barriers_per_step replications "
+              "migrations ghost_promotions cache_hits"),
+) for k in keys.split()]
 
 
 def row(group, variant, seconds=1.0, messages=100, megabytes=10.0,
@@ -54,9 +65,12 @@ class CompareBenchTest(unittest.TestCase):
             [sys.executable, SCRIPT, baseline, candidate, *flags],
             capture_output=True, text=True)
 
-    def compare(self, base_rows, cand_rows, *flags):
+    def compare(self, base_rows, cand_rows, *flags, columns=COLUMNS):
+        # The committed baseline predates the header; only the candidate
+        # carries it.
         baseline = self.write("base.json", {"rows": base_rows})
-        candidate = self.write("cand.json", {"rows": cand_rows})
+        candidate = self.write("cand.json",
+                               {"columns": columns, "rows": cand_rows})
         return self.run_compare(baseline, candidate, *flags)
 
     # --- clean runs ---------------------------------------------------------
@@ -137,7 +151,7 @@ class CompareBenchTest(unittest.TestCase):
         p = self.compare([row("g", "a", jobs_per_sec=100.0)],
                          [row("g", "a", jobs_per_sec=80.0)])
         self.assertEqual(p.returncode, 1)
-        self.assertIn("jobs/s", p.stderr)
+        self.assertIn("jobs_per_sec", p.stderr)
 
     def test_jobs_per_sec_growth_is_clean(self):
         p = self.compare([row("g", "a", jobs_per_sec=100.0)],
@@ -160,7 +174,7 @@ class CompareBenchTest(unittest.TestCase):
                              [row("g", "a", cache_hits=cand_hits)],
                              "--exact")
             self.assertEqual(p.returncode, 1)
-            self.assertIn("hits", p.stderr)
+            self.assertIn("cache_hits", p.stderr)
 
     def test_cache_hit_growth_is_advisory_in_plain_mode(self):
         # cache_hits is lower-is-better by convention in plain mode (it is
@@ -175,12 +189,20 @@ class CompareBenchTest(unittest.TestCase):
     def test_exact_gates_replications_and_migrations(self):
         # The coherence decision counters are deterministic (write-census
         # classification): any drift means the policy changed behaviour.
-        for key, label in (("replications", "repl"), ("migrations", "migr")):
+        for key in ("replications", "migrations"):
             base = [dict(row("g", "a"), **{key: 12})]
             cand = [dict(row("g", "a"), **{key: 11})]
             p = self.compare(base, cand, "--exact")
             self.assertEqual(p.returncode, 1)
-            self.assertIn(label, p.stderr)
+            self.assertIn(key, p.stderr)
+
+    def test_exact_gates_ghost_promotions(self):
+        # Deterministic like the other decision counters (the committed
+        # adaptive rows reproduce run to run), so gated the same way.
+        p = self.compare([dict(row("g", "a"), ghost_promotions=16)],
+                         [dict(row("g", "a"), ghost_promotions=15)], "--exact")
+        self.assertEqual(p.returncode, 1)
+        self.assertIn("ghost_promotions", p.stderr)
 
     def test_rows_without_coherence_keys_stay_clean(self):
         # Static rows never carry the coherence keys; both sides default to
@@ -192,6 +214,41 @@ class CompareBenchTest(unittest.TestCase):
                          [dict(row("g", "a"), replications=0, migrations=0)],
                          "--exact")
         self.assertEqual(p.returncode, 0, p.stderr)
+
+    # --- header-driven gates ------------------------------------------------
+
+    def test_gates_come_from_the_candidate_header(self):
+        # A column the header marks exact is gated even though no list in
+        # the script names it ...
+        columns = COLUMNS + [{"key": "steps_run", "gate": "exact"}]
+        p = self.compare([dict(row("g", "a"), steps_run=8)],
+                         [dict(row("g", "a"), steps_run=7)], "--exact",
+                         columns=columns)
+        self.assertEqual(p.returncode, 1)
+        self.assertIn("steps_run", p.stderr)
+        # ... and one it marks "none" is not gated at all.
+        ungated = [dict(c, gate="none") if c["key"] == "messages" else c
+                   for c in COLUMNS]
+        for flags in ([], ["--exact"]):
+            p = self.compare([row("g", "a", messages=10)],
+                             [row("g", "a", messages=999)], *flags,
+                             columns=ungated)
+            self.assertEqual(p.returncode, 0, p.stderr)
+
+    def test_baseline_header_is_not_consulted(self):
+        base = self.write("base.json",
+                          {"columns": [], "rows": [row("g", "a")]})
+        cand = self.write("cand.json", {"columns": COLUMNS,
+                                        "rows": [row("g", "a", messages=7)]})
+        self.assertEqual(self.run_compare(base, cand, "--exact").returncode, 1)
+
+    def test_candidate_without_header_exits_2(self):
+        base = self.write("base.json", {"rows": [row("g", "a")]})
+        cand = self.write("cand.json", {"rows": [row("g", "a")]})
+        for flags in ([], ["--exact"]):
+            p = self.run_compare(base, cand, *flags)
+            self.assertEqual(p.returncode, 2)
+            self.assertIn("columns", p.stderr)
 
     # --- row-set changes ----------------------------------------------------
 
@@ -237,7 +294,8 @@ class CompareBenchTest(unittest.TestCase):
     def test_malformed_rows_exit_2(self):
         ok = self.write("ok.json", {"rows": [row("g", "a")]})
         # Rows missing the (group, variant) identity cannot be matched.
-        bad = self.write("noid.json", {"rows": [{"seconds": 1.0}]})
+        bad = self.write("noid.json", {"columns": COLUMNS,
+                                       "rows": [{"seconds": 1.0}]})
         p = self.run_compare(ok, bad)
         self.assertEqual(p.returncode, 2)
 
@@ -249,7 +307,8 @@ class CompareBenchTest(unittest.TestCase):
         for value in (None, "lots"):
             broken = dict(row("g", "a"))
             broken["messages"] = value
-            bad = self.write("bad_metric.json", {"rows": [broken]})
+            bad = self.write("bad_metric.json",
+                             {"columns": COLUMNS, "rows": [broken]})
             p = self.run_compare(ok, bad)
             self.assertEqual(p.returncode, 2, p.stderr)
             self.assertIn("malformed", p.stderr)

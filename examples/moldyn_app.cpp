@@ -42,10 +42,8 @@ int main(int argc, char** argv) {
     const auto r = moldyn::run(b, p, sys, opts);
     std::printf("%-14s: checksum %s\n", api::backend_name(b),
                 checksum_close(r.checksum, seq.checksum) ? "OK" : "MISMATCH");
-    table.add(harness::Row{"2048 molecules", api::backend_name(b), r.seconds,
-                           harness::speedup(seq.seconds, r.seconds),
-                           r.messages, r.megabytes, r.overhead_seconds, "",
-                           seq.seconds});
+    table.add(harness::kernel_row("2048 molecules", api::backend_name(b), r,
+                                  seq.seconds));
   }
 
   std::printf("\n");

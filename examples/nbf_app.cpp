@@ -37,13 +37,10 @@ int main(int argc, char** argv) {
     opts.transport = opt.transport;
     for (const api::Backend b : opt.backends) {
       const auto r = nbf::run(b, p, opts);
-      table.add(harness::Row{
-          "timed steps", api::backend_name(b), r.seconds,
-          harness::speedup(seq.seconds, r.seconds), r.messages, r.megabytes,
-          r.overhead_seconds,
+      table.add(harness::kernel_row(
+          "timed steps", api::backend_name(b), r, seq.seconds,
           checksum_close(r.checksum, seq.checksum) ? "checksum OK"
-                                                   : "CHECKSUM MISMATCH",
-          seq.seconds});
+                                                   : "CHECKSUM MISMATCH"));
     }
     table.print(std::cout);
   }

@@ -35,10 +35,12 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/api/backend.hpp"
 #include "src/common/assert.hpp"
+#include "src/common/buffer.hpp"
 #include "src/common/types.hpp"
 #include "src/common/vec.hpp"
 #include "src/partition/partition.hpp"
@@ -354,36 +356,84 @@ struct KernelSpec {
   }
 };
 
-/// Every TmkCounters field, declared once: X(name) per field.  Each name is
-/// also a DsmStats counter, so plan::counters_from copies it out of a stats
-/// delta and plan::add_counters sums it across workers, both generated from
-/// this list.
+/// Fold rule of a result field across nodes and worker processes
+/// (plan::fold_results): kNodeSum sums from zero in node order (bit-exact
+/// vs threads), kMean is the per-node mean, kUniform values must agree,
+/// kDerived fields are recomputed after the fold.
+enum class Fold : std::uint8_t { kNodeSum, kSum, kMax, kMean, kUniform,
+                                 kDerived };
+
+/// Gate class of a bench column, carried by the bench JSON's "columns"
+/// header to bench/compare_bench.py: kExact fails --exact on any
+/// difference, kLower/kHigher name the better direction of a noisy
+/// column, kNone is never gated, kHidden is not a column at all.
+enum class Gate : std::uint8_t { kExact, kLower, kHigher, kNone, kHidden };
+
+/// One schema entry, as the visitors below hand it out.
+struct ResultField {
+  const char* name;
+  Fold fold;
+  Gate gate;
+};
+
+/// Every scalar KernelResult field, declared once: X(type, name, fold,
+/// gate).  The KernelResult and serve::JobStats members, the worker-report
+/// and stats-frame codecs, the cross-worker fold and the bench columns are
+/// all generated from this list.
+#define SDSM_KERNEL_RESULT_FIELDS(X)                                         \
+  X(double, checksum, kNodeSum, kHidden) /* sum of per-node digests */       \
+  X(double, seconds, kMax, kLower)       /* timed steps */                   \
+  X(std::uint64_t, messages, kSum, kExact)                                   \
+  X(double, megabytes, kDerived, kExact) /* bytes / 1e6 */                   \
+  X(std::uint64_t, bytes, kSum, kHidden) /* exact count: bit-identical */    \
+  /* Per node: inspector (CHAOS) or Read_indices scan (Tmk) time keeping  */ \
+  /* the structure current; twin-vs-page scans and Diff::apply loops (Tmk */ \
+  /* only), what the diff-engine A/B moves at byte-identical traffic.     */ \
+  X(double, overhead_seconds, kMean, kNone)                                  \
+  X(double, diff_create_seconds, kMean, kLower)                              \
+  X(double, diff_apply_seconds, kMean, kLower)                               \
+  X(std::int64_t, rebuilds, kUniform, kExact) /* = inspector runs */         \
+  /* Timed steps executed: num_steps, or fewer when `converged` ended the */ \
+  /* loop -- globally agreed, so a parity metric too.                     */ \
+  X(std::int64_t, steps_run, kUniform, kHidden)                              \
+  /* The last-built structure: flattened references, longest row.         */ \
+  X(std::uint64_t, refs, kSum, kNone)                                        \
+  X(std::uint64_t, max_row, kMax, kNone)                                     \
+  /* Global barriers per timed step per node: the serial schedule pays    */ \
+  /* nprocs rounds plus the step barrier, the tournament                  */ \
+  /* ceil(log2(contributors)).                                            */ \
+  X(double, barriers_per_step, kUniform, kExact)
+
+/// Every TmkCounters field, declared once: X(name, gate); each sums.  Each
+/// name is also a DsmStats counter, copied from the timed stats delta by
+/// name.  The adaptive decision counters are bench columns on adaptive
+/// rows only (harness::Row::coherence_cols).
 #define SDSM_TMK_COUNTERS(X)                                               \
-  X(validate_calls)                                                        \
-  X(validate_recomputes) /* Read_indices executions */                     \
-  X(read_faults)                                                           \
-  X(pages_prefetched)                                                      \
-  X(twins_created)                                                         \
-  X(whole_pages)                                                           \
-  X(diff_bytes)                                                            \
-  X(cross_prefetch_posts) /* barrier-exit prefetches posted */             \
+  X(validate_calls, kHidden)                                               \
+  X(validate_recomputes, kHidden) /* Read_indices executions */            \
+  X(read_faults, kHidden)                                                  \
+  X(pages_prefetched, kHidden)                                             \
+  X(twins_created, kHidden)                                                \
+  X(whole_pages, kHidden)                                                  \
+  X(diff_bytes, kHidden)                                                   \
+  X(cross_prefetch_posts, kHidden) /* barrier-exit prefetches posted */    \
   /* Every posted prefetch is accounted for exactly once: posts ==      */ \
   /* consumes (completed at first use) + drains (completed at backend   */ \
   /* teardown after an early exit left one in flight).                  */ \
-  X(cross_prefetch_consumes)                                               \
-  X(cross_prefetch_drains)                                                 \
+  X(cross_prefetch_consumes, kHidden)                                      \
+  X(cross_prefetch_drains, kHidden)                                        \
   /* Adaptive coherence decisions (src/coherence/); all zero under the  */ \
   /* static policy.  Migrations are counted on every node (the          */ \
   /* directory update is node-local), so the figure scales with nprocs  */ \
   /* in both deploy modes alike.                                        */ \
-  X(replications)                                                          \
-  X(migrations)                                                            \
-  X(ghost_promotions)
+  X(replications, kExact)                                                  \
+  X(migrations, kExact)                                                    \
+  X(ghost_promotions, kExact)
 
 /// TreadMarks-side protocol counters surfaced for tests and ablations
 /// (zero for the CHAOS backend).  Counted over the timed steps only.
 struct TmkCounters {
-#define SDSM_TMK_FIELD(name) std::uint64_t name = 0;
+#define SDSM_TMK_FIELD(name, gate) std::uint64_t name = 0;
   SDSM_TMK_COUNTERS(SDSM_TMK_FIELD)
 #undef SDSM_TMK_FIELD
 };
@@ -391,40 +441,49 @@ struct TmkCounters {
 /// Result of one kernel execution, uniform across backends.
 struct KernelResult {
   Backend backend = Backend::kChaos;
-  double checksum = 0;
-  double seconds = 0;  ///< timed steps, max over nodes
-  std::uint64_t messages = 0;
-  double megabytes = 0;
-  /// Exact payload-byte count backing `megabytes` (megabytes = bytes/1e6).
-  /// Process-mode aggregation sums this integer across workers so the
-  /// combined megabytes figure is bit-identical to a threaded run's.
-  std::uint64_t bytes = 0;
-  /// Per-node overhead of keeping the communication structure current:
-  /// inspector time on CHAOS, Read_indices scan time on Tmk.
-  double overhead_seconds = 0;
-  /// Per-node wall time in the diff hot paths (Tmk backends; zero on
-  /// CHAOS): twin-vs-page scans (Diff::create/whole) and Diff::apply
-  /// loops.  These are what the scalar/word engine A/B moves — traffic is
-  /// byte-identical across engines by construction.
-  double diff_create_seconds = 0;
-  double diff_apply_seconds = 0;
-  std::int64_t rebuilds = 0;  ///< item-list rebuilds (= inspector runs)
-  /// Timed steps actually executed: num_steps, or fewer when `converged`
-  /// terminated the loop early.  Identical on every backend (the
-  /// convergence flag is globally agreed), so it is a parity metric too.
-  std::int64_t steps_run = 0;
-  /// Shape of the last-built structure, summed/maxed over nodes: total
-  /// flattened references and the longest row — the degree-skew audit
-  /// trail for CSR workloads.
-  std::uint64_t refs = 0;
-  std::uint64_t max_row = 0;
-  /// Global barriers per timed step, per node (deterministic — the metric
-  /// the round schedules are judged by; timing on a shared 1-core box is
-  /// not).  The serial schedule pays nprocs reduction rounds plus the step
-  /// barrier; the tournament schedule ceil(log2(contributors)) rounds.
-  double barriers_per_step = 0;
+#define SDSM_RESULT_MEMBER(type, name, fold, gate) type name = 0;
+  SDSM_KERNEL_RESULT_FIELDS(SDSM_RESULT_MEMBER)
+#undef SDSM_RESULT_MEMBER
   TmkCounters tmk;
 };
+
+/// Calls fn(field, r.<name>...) per SDSM_KERNEL_RESULT_FIELDS entry, in
+/// order, on objects carrying the fields by name (KernelResult, JobStats).
+template <typename Fn, typename... R>
+void for_each_result_field(Fn&& fn, R&... r) {
+#define SDSM_RESULT_VISIT(type, name, fold, gate) \
+  fn(ResultField{#name, Fold::fold, Gate::gate}, r.name...);
+  SDSM_KERNEL_RESULT_FIELDS(SDSM_RESULT_VISIT)
+#undef SDSM_RESULT_VISIT
+}
+
+/// The same over every SDSM_TMK_COUNTERS entry.
+template <typename Fn, typename... C>
+void for_each_tmk_counter(Fn&& fn, C&... c) {
+#define SDSM_TMK_VISIT(name, gate) \
+  fn(ResultField{#name, Fold::kSum, Gate::gate}, c.name...);
+  SDSM_TMK_COUNTERS(SDSM_TMK_VISIT)
+#undef SDSM_TMK_VISIT
+}
+
+/// The one wire layout of a result (worker report, serve stats frame):
+/// every field, then every counter.  `counters` is `r.tmk`, or `r` itself
+/// where the counters are direct members (serve::JobStats).
+template <typename R, typename C>
+void put_result(Writer& w, const R& r, const C& counters) {
+  const auto put = [&w](const ResultField&, const auto& v) { w.put(v); };
+  for_each_result_field(put, r);
+  for_each_tmk_counter(put, counters);
+}
+
+template <typename R, typename C>
+void get_result(Reader& rd, R& r, C& counters) {
+  const auto get = [&rd](const ResultField&, auto& v) {
+    v = rd.get<std::remove_reference_t<decltype(v)>>();
+  };
+  for_each_result_field(get, r);
+  for_each_tmk_counter(get, counters);
+}
 
 /// Owner of global element g under a contiguous partition (binary search).
 inline NodeId owner_of(const std::vector<part::Range>& owner_range,

@@ -235,45 +235,45 @@ SectionTimes run_sections(core::DsmRuntime& rt,
 
 /// The one KernelResult fold for both DSM-substrate runs.
 ///
-/// Per-node aggregation covers the locally hosted nodes: all of them in
-/// threads mode; in process mode each worker reports its own and the
-/// launcher sums/maxes across workers.  Steps and rebuilds are globally
-/// uniform, so the caller passes any hosted representative's.
-/// `inspector_s` is summed over the hosted nodes (zero when no region runs
-/// the inspector).
+/// `parts` are the locally hosted nodes' shares (checksum, structure
+/// shape, timed steps, rebuilds, inspector time as overhead_seconds): all
+/// nodes in threads mode; in process mode each worker reports its own and
+/// the launcher folds across workers.  The fabric and protocol figures
+/// come from the section's stats deltas.
 KernelResult fold_sections(const core::DsmRuntime& rt, Backend kind,
-                           const SectionTimes& t, std::int64_t steps_run,
-                           std::int64_t rebuilds, double inspector_s,
-                           std::span<const NodeAccount> accounts) {
+                           const SectionTimes& t,
+                           std::span<const KernelResult> parts) {
   const double nodes = rt.num_local_nodes();
   KernelResult res;
+  SDSM_REQUIRE_MSG(fold_results(parts, res) == nullptr,
+                   "DSM run: nodes disagree on a uniform result field");
   res.backend = kind;
   res.seconds = t.wall_seconds;
   res.messages = t.net_timed.messages();
   res.megabytes = t.net_timed.megabytes();
   res.bytes = t.net_timed.bytes();
-  // Structure-currency overhead: inspector time (chaos-style, per node)
-  // plus Read_indices scans of the shared LIST (page-dsm indirection).
-  res.overhead_seconds =
-      inspector_s / nodes +
+  // Structure-currency overhead: inspector time (chaos-style, the parts'
+  // per-node mean) plus Read_indices scans of the shared LIST (page-dsm
+  // indirection).
+  res.overhead_seconds +=
       (t.warm_scan_s + static_cast<double>(t.timed.scan_ns) / 1e9) / nodes;
   res.diff_create_seconds =
       static_cast<double>(t.timed.diff_create_ns) / 1e9 / nodes;
   res.diff_apply_seconds =
       static_cast<double>(t.timed.diff_apply_ns) / 1e9 / nodes;
-  res.rebuilds = rebuilds;
-  fold_accounts(res, accounts);
-  res.steps_run = steps_run;
   // Every node executes the same global barriers, so the per-node count is
   // the total divided by the hosted-node count (the stats only see hosted
   // nodes); the delta is taken from the post-warmup snapshot, so this
   // covers exactly the timed steps actually executed (fewer than num_steps
   // when the convergence flag ended the loop early).
-  if (steps_run > 0) {
+  if (res.steps_run > 0) {
     res.barriers_per_step = static_cast<double>(t.timed.barriers) / nodes /
-                            static_cast<double>(steps_run);
+                            static_cast<double>(res.steps_run);
   }
-  res.tmk = counters_from(t.timed);
+  // The timed window's protocol counters, each a DsmStats counter too.
+  for_each_tmk_counter([](const ResultField&, auto& dst,
+                          const auto& src) { dst = src; },
+                       res.tmk, t.timed);
   return res;
 }
 
@@ -775,12 +775,16 @@ KernelResult run_page_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
             self.ptr(x) + mine.begin, static_cast<std::size_t>(mine.size())));
       });
 
-  std::vector<NodeAccount> accounts;
+  std::vector<KernelResult> parts;
   for (const NodeId q : rt.local_ids()) {
-    accounts.push_back({state[q].checksum, state[q].refs, state[q].max_row});
+    KernelResult& p = parts.emplace_back();
+    p.checksum = state[q].checksum;
+    p.refs = state[q].refs;
+    p.max_row = state[q].max_row;
+    p.rebuilds = state[q].rebuilds;
+    p.steps_run = state[q].steps_run - warm_steps_run;
   }
-  return fold_sections(rt, kind, t, state[rep].steps_run - warm_steps_run,
-                       state[rep].rebuilds, 0, accounts);
+  return fold_sections(rt, kind, t, parts);
 }
 
 // ---------------------------------------------------------------------------
@@ -810,7 +814,7 @@ struct HybridNode {
   TmkIrregularNode node;
   InspectorGather<T> gather;
   std::int64_t steps_run = 0;
-  NodeAccount account;
+  KernelResult account;  ///< this node's share, taken after the timed steps
 };
 
 template <typename T>
@@ -922,15 +926,12 @@ KernelResult run_hybrid(core::DsmRuntime& rt, const KernelSpec<T>& spec,
         state[self.id()]->account = state[self.id()]->gather.account();
       });
 
-  double insp = 0;
-  std::vector<NodeAccount> accounts;
+  std::vector<KernelResult> parts;
   for (const NodeId q : rt.local_ids()) {
-    insp += state[q]->gather.inspector_seconds();
-    accounts.push_back(state[q]->account);
+    parts.push_back(state[q]->account);
+    parts.back().steps_run = state[q]->steps_run - warm_steps_run;
   }
-  return fold_sections(rt, Backend::kHybrid, t,
-                       state[rep]->steps_run - warm_steps_run,
-                       state[rep]->gather.rebuilds(), insp, accounts);
+  return fold_sections(rt, Backend::kHybrid, t, parts);
 }
 
 }  // namespace

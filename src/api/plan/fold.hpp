@@ -1,59 +1,60 @@
 // One copy of the counter/checksum fold.
 //
-// Three call sites used to carry their own: the two backend monoliths
-// folded per-node partials into a KernelResult, and the multi-process
-// launcher folded per-worker KernelResults into a job-level one.  The
-// arithmetic is part of the bit-exactness contract — checksums are summed
-// in node order, so a process-mode aggregate is bit-identical to a
-// threaded run's — which is exactly the kind of invariant that should not
-// exist in triplicate.
+// The in-process drivers fold their hosted nodes' shares into a
+// KernelResult, and the multi-process launcher folds its workers' results
+// into the job's, through the same fold_results.  The arithmetic is part
+// of the bit-exactness contract — checksums are summed in node order, so
+// a process-mode aggregate is bit-identical to a threaded run's — which
+// is exactly the kind of invariant that should not exist in triplicate.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <span>
+#include <type_traits>
 
 #include "src/api/kernel.hpp"
-#include "src/common/stats.hpp"
 
 namespace sdsm::api::plan {
 
-/// One node's contribution to a KernelResult.
-struct NodeAccount {
-  double checksum = 0;
-  std::uint64_t refs = 0;
-  std::uint64_t max_row = 0;
-};
-
-/// Folds node accounts into `res`, in the order given: checksum summed
-/// (node order — the summation order is part of the bit-exactness
-/// contract), refs summed, max_row maxed.  Adds to whatever `res` already
-/// holds, so process-mode callers can fold worker by worker.
-inline void fold_accounts(KernelResult& res,
-                          std::span<const NodeAccount> accounts) {
-  for (const NodeAccount& a : accounts) {
-    res.checksum += a.checksum;
-    res.refs += a.refs;
-    res.max_row = std::max(res.max_row, a.max_row);
+/// Folds per-node (or per-worker) shares, in node order, into one result
+/// under each field's SDSM_KERNEL_RESULT_FIELDS fold rule; counters sum.
+/// Returns the uniform field the parts disagree on (the runs diverged: no
+/// one result exists), or nullptr.
+inline const char* fold_results(std::span<const KernelResult> parts,
+                                KernelResult& out) {
+  SDSM_REQUIRE(!parts.empty());
+  out = KernelResult{};
+  out.backend = parts.front().backend;
+  const char* disagree = nullptr;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    const KernelResult& p = parts[i];
+    if (p.backend != out.backend) disagree = "backend";
+    for_each_result_field(
+        [&](const ResultField& f, auto& acc, const auto& v) {
+          if (i == 0 && f.fold != Fold::kNodeSum) {
+            acc = v;  // kNodeSum alone starts from zero, as a threaded sum
+          } else if (f.fold == Fold::kMax) {
+            acc = std::max(acc, v);
+          } else if (f.fold == Fold::kUniform) {
+            if (acc != v) disagree = f.name;
+          } else {
+            acc += v;  // kNodeSum, kSum, kMean (kDerived: recomputed below)
+          }
+        },
+        out, p);
+    for_each_tmk_counter(
+        [](const ResultField&, auto& acc, const auto& v) { acc += v; },
+        out.tmk, p.tmk);
   }
-}
-
-/// The timed-window protocol counters a DSM-substrate run reports, copied
-/// out of a stats delta.
-inline TmkCounters counters_from(const DsmStats::Snapshot& timed) {
-  TmkCounters c;
-#define SDSM_TMK_COPY(name) c.name = timed.name;
-  SDSM_TMK_COUNTERS(SDSM_TMK_COPY)
-#undef SDSM_TMK_COPY
-  return c;
-}
-
-/// Adds `b`'s protocol counters into `a` — the cross-worker half of the
-/// fold (process mode: each worker's snapshot covers only its own nodes).
-inline void add_counters(TmkCounters& a, const TmkCounters& b) {
-#define SDSM_TMK_ADD(name) a.name += b.name;
-  SDSM_TMK_COUNTERS(SDSM_TMK_ADD)
-#undef SDSM_TMK_ADD
+  for_each_result_field(
+      [&parts](const ResultField& f, auto& acc) {
+        using V = std::remove_reference_t<decltype(acc)>;
+        if (f.fold == Fold::kMean) acc /= static_cast<V>(parts.size());
+      },
+      out);
+  out.megabytes = static_cast<double>(out.bytes) / 1e6;  // kDerived
+  return disagree;
 }
 
 }  // namespace sdsm::api::plan

@@ -203,8 +203,14 @@ void InspectorGather<T>::drive(int steps, int first_global_step,
 }
 
 template <typename T>
-NodeAccount InspectorGather<T>::account() const {
-  return {spec_.checksum(owned()), refs_, max_row_};
+KernelResult InspectorGather<T>::account() const {
+  KernelResult r;
+  r.checksum = spec_.checksum(owned());
+  r.refs = refs_;
+  r.max_row = max_row_;
+  r.overhead_seconds = inspector_seconds_;
+  r.rebuilds = rebuilds_;
+  return r;
 }
 
 template class InspectorGather<double>;

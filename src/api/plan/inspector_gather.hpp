@@ -77,11 +77,10 @@ class InspectorGather {
 
   /// This node's owned block of the state mirror.
   std::span<const T> owned() const { return {x_all_.data(), local_n_}; }
-  /// Checksum partial and structure shape for the result fold.
-  NodeAccount account() const;
-  double inspector_seconds() const { return inspector_seconds_; }
-  /// Fresh inspector runs (cache replays excluded).
-  std::int64_t rebuilds() const { return rebuilds_; }
+  /// This node's share of the result, for plan::fold_results: checksum
+  /// partial, structure shape, inspector time (overhead_seconds) and
+  /// fresh inspector runs (rebuilds; cache replays excluded).
+  KernelResult account() const;
 
   /// Set at the warm/timed cut: only timed rebuilds are attributed to the
   /// session's structure counters, matching the result's traffic window.

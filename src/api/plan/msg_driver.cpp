@@ -70,11 +70,7 @@ KernelResult run_msg(chaos::ChaosRuntime& rt, const KernelSpec<T>& spec,
       table_for(spec, nprocs, options.table, session);
   const net::NetStats& stats = rt.network().stats();
 
-  std::vector<NodeAccount> accounts(nprocs);
-  std::vector<double> inspector_seconds(nprocs, 0.0);
-  std::vector<std::int64_t> rebuilds(nprocs, 0);  ///< fresh inspector runs
-  std::vector<std::int64_t> steps_run(nprocs, 0);
-  std::vector<double> timed_seconds(nprocs, 0.0);
+  std::vector<KernelResult> parts(nprocs);  ///< per-node shares
   net::Traffic net_start, net_end;  // fabric totals at the two cuts
   std::uint64_t barr_start = 0, barr_end = 0;
 
@@ -100,21 +96,23 @@ KernelResult run_msg(chaos::ChaosRuntime& rt, const KernelSpec<T>& spec,
 
     gather.timed = true;
     const Timer timer;
-    gather.drive(spec.num_steps, spec.warmup_steps, steps_run[me]);
-    timed_seconds[me] = timer.elapsed_s();
+    std::int64_t steps_run = 0;
+    gather.drive(spec.num_steps, spec.warmup_steps, steps_run);
+    const double seconds = timer.elapsed_s();
     cn.barrier([&] {
       net_end = {stats.messages(), stats.bytes()};
       barr_end = rt.total_barriers();
     });
 
-    accounts[me] = gather.account();
-    inspector_seconds[me] = gather.inspector_seconds();
-    rebuilds[me] = gather.rebuilds();
+    parts[me] = gather.account();
+    parts[me].seconds = seconds;
+    parts[me].steps_run = steps_run;
   });
 
   KernelResult res;
+  SDSM_REQUIRE_MSG(fold_results(parts, res) == nullptr,
+                   "run_msg: nodes disagree on a uniform result field");
   res.backend = Backend::kChaos;
-  for (const double t : timed_seconds) res.seconds = std::max(res.seconds, t);
   const net::Traffic timed = net_end - net_start;
   // Between the two snapshots lie the timed steps plus exactly one barrier
   // release (N-1 messages) and one barrier arrival (N-1), neither carrying
@@ -128,17 +126,11 @@ KernelResult run_msg(chaos::ChaosRuntime& rt, const KernelSpec<T>& spec,
   // through its gather/scatter exchanges, so this is normally the one
   // step-closing barrier — and the bench column will say so the day that
   // stops being true.
-  res.steps_run = steps_run[0];
   if (res.steps_run > 0) {
     res.barriers_per_step =
         static_cast<double>(barr_end - barr_start - nprocs) / nprocs /
         static_cast<double>(res.steps_run);
   }
-  fold_accounts(res, accounts);
-  double insp = 0;
-  for (const double s : inspector_seconds) insp += s;
-  res.overhead_seconds = insp / nprocs;
-  res.rebuilds = rebuilds[0];
   return res;
 }
 

@@ -27,10 +27,27 @@ std::int64_t trace_page() {
 #define SDSM_TRACE(pg, ...)                                         do {                                                                if (static_cast<std::int64_t>(pg) == trace_page()) {                std::fprintf(stderr, "[trace n%u] ", id_);                        std::fprintf(stderr, __VA_ARGS__);                                std::fprintf(stderr, "\n");                                     }                                                               } while (0)
 
 /// Key of one interval's diff of one page: page (24 bits) | creator
-/// (8 bits) | seq (32 bits).
+/// (8 bits) | seq (32 bits).  checked() keeps every config inside both
+/// widths, so two diffs can never alias.
+constexpr std::uint64_t kMaxKeyPages = std::uint64_t{1} << 24;
+constexpr std::uint32_t kMaxKeyNodes = 1u << 8;
 std::uint64_t diff_key(PageId page, NodeId creator, std::uint32_t seq) {
   return (static_cast<std::uint64_t>(page) << 40) |
          (static_cast<std::uint64_t>(creator) << 32) | seq;
+}
+
+/// The config limits both runtime constructors enforce before any member
+/// (transport, heap, node) is built.
+const DsmConfig& checked(const DsmConfig& config) {
+  SDSM_REQUIRE(config.num_nodes >= 1);
+  SDSM_REQUIRE_MSG(config.num_nodes <= kMaxKeyNodes,
+                   "DsmConfig.num_nodes: at most 256 (diff keys carry the "
+                   "creator in 8 bits)");
+  const std::size_t page = vm::system_page_size();
+  SDSM_REQUIRE_MSG((config.region_bytes + page - 1) / page <= kMaxKeyPages,
+                   "DsmConfig.region_bytes: at most 2^24 pages (diff keys "
+                   "carry the page in 24 bits)");
+  return config;
 }
 
 }  // namespace
@@ -891,11 +908,10 @@ void DsmNode::serve_get_diffs(const net::Message& msg) {
 // ---------------------------------------------------------------------------
 
 DsmRuntime::DsmRuntime(DsmConfig config)
-    : config_(config),
+    : config_(checked(config)),
       net_(net::make_transport(config.transport, config.num_nodes,
                                config.wire)),
       heap_(config.region_bytes, vm::system_page_size()) {
-  SDSM_REQUIRE(config.num_nodes >= 1);
   SDSM_REQUIRE_MSG(config.mode == DeployMode::kThreads,
                    "DsmRuntime: process mode needs the transport ctor");
   nodes_.reserve(config.num_nodes);
@@ -907,10 +923,9 @@ DsmRuntime::DsmRuntime(DsmConfig config)
 
 DsmRuntime::DsmRuntime(DsmConfig config,
                        std::unique_ptr<net::Transport> transport)
-    : config_(config),
+    : config_(checked(config)),
       net_(std::move(transport)),
       heap_(config.region_bytes, vm::system_page_size()) {
-  SDSM_REQUIRE(config.num_nodes >= 1);
   SDSM_REQUIRE_MSG(config.mode == DeployMode::kProcesses,
                    "DsmRuntime: transport ctor is for process mode");
   SDSM_REQUIRE(net_ != nullptr && net_->num_nodes() == config.num_nodes);

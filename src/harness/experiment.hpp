@@ -1,8 +1,8 @@
 // Experiment harness: runs application variants and prints rows shaped like
 // the paper's Tables 1 and 2 (time, speedup, messages, data volume), plus
-// machine-readable forms: a CSV line per row for EXPERIMENTS.md bookkeeping
-// and a JSON document (write_json) so successive PRs can diff benchmark
-// trajectories mechanically.
+// machine-readable forms: a CSV line per row for scripting and a JSON
+// document (write_json) whose trajectory bench/compare_bench.py diffs
+// mechanically (docs/benchmarks.md describes every column).
 #pragma once
 
 #include <cstdint>
@@ -10,82 +10,61 @@
 #include <string>
 #include <vector>
 
+#include "src/api/kernel.hpp"
+
 namespace sdsm::harness {
 
+/// One table row.  The kernel-result columns are `result`'s fields that
+/// the schema (SDSM_KERNEL_RESULT_FIELDS, src/api/kernel.hpp) does not
+/// gate kHidden; rows that are not one kernel run (serving streams, the
+/// fault microbench) fill what applies and leave the rest zero.
 struct Row {
   std::string group;    ///< e.g. "Every 12 iterations (seq = 1.23 s)"
   std::string variant;  ///< "CHAOS" | "Tmk base" | "Tmk optimized"
-  double seconds = 0;
+  api::KernelResult result;
+  /// The adaptive-coherence decision counters (the non-hidden
+  /// SDSM_TMK_COUNTERS) are emitted in JSON only when set, so every
+  /// static row stays byte-identical.
+  bool coherence_cols = false;
   double speedup = 0;
-  std::uint64_t messages = 0;
-  double megabytes = 0;
-  /// Inspector time (CHAOS) or indirection-scan time (Tmk), per node.
-  double overhead_seconds = 0;
-  std::string note;
   /// The sequential baseline that `speedup` was computed against
-  /// (speedup = seq_seconds / seconds).  Recorded per row so the
-  /// denominator of every speedup in a bench JSON is auditable instead of
-  /// implied.  Kept after `note` so existing positional initializers stay
-  /// valid.
+  /// (speedup = seq_seconds / seconds), so the denominator of every
+  /// speedup in a bench JSON is auditable instead of implied.
   double seq_seconds = 0;
-  /// Shape of the workload's indirection structure (CSR rows): total
-  /// flattened references and the longest row.  Zero for rows that are not
-  /// kernel runs.  Recorded so degree skew — and what padding it would
-  /// cost a fixed-arity layout — is auditable from the bench JSON alone.
-  std::uint64_t refs = 0;
-  std::uint64_t max_row = 0;
   /// Reduction-round schedule the run used ("serial" | "tournament"; "-"
   /// where the notion does not apply, e.g. CHAOS rows).
   std::string schedule = "-";
-  /// Global barriers per timed step per node — the deterministic metric
-  /// the round schedules are compared by (timing on a 1-core shared
-  /// runner is oversubscribed noise; barrier and message counts are not).
-  double barriers_per_step = 0;
-  /// Item-list rebuilds over the run (inspector runs / Read_indices
-  /// refreshes, warmup included).  Frontier workloads rebuild every step,
-  /// so this column is what makes rebuild-heavy rows auditable in the
-  /// bench trajectory; static structures report 1.
-  std::int64_t rebuilds = 0;
   /// Serving-layer throughput: completed jobs per wall-clock second over
-  /// the row's job stream.  Zero for non-serving rows (omitted from the
-  /// printed table; JSON/CSV carry it).  Appended after `rebuilds` so
-  /// existing positional initializers stay valid.
+  /// the row's job stream.  Zero for non-serving rows.
   double jobs_per_sec = 0;
-  /// Schedule-cache hits the row's job stream scored (serving rows only).
-  /// Deterministic when the stream runs on one worker, so it is an exact
-  /// gate column like messages.
+  /// Schedule-cache hits the row's job stream scored (serving rows only);
+  /// deterministic when the stream runs on one worker.
   std::int64_t cache_hits = 0;
-  /// Adaptive-coherence decision counters (exact-gate columns).  Emitted
-  /// in JSON/CSV only when `coherence_cols` is set, so every pre-existing
-  /// static row stays byte-identical.  Appended after `cache_hits` so
-  /// existing positional initializers stay valid.
-  bool coherence_cols = false;
-  std::uint64_t replications = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t ghost_promotions = 0;
-  /// Per-node wall time in the diff hot paths (Tmk rows; zero on CHAOS and
-  /// non-kernel rows): twin-vs-page scans and Diff::apply loops.  The
-  /// columns the --diff-engine A/B moves — its traffic is byte-identical
-  /// by construction.  Appended after the coherence counters so existing
-  /// positional initializers stay valid.
-  double diff_create_seconds = 0;
-  double diff_apply_seconds = 0;
+  std::string note;
 };
+
+/// The row of one kernel run: every result column from `r`, speedup
+/// against `seq_seconds` (0 when there is no sequential baseline).
+Row kernel_row(std::string group, std::string variant,
+               const api::KernelResult& r, double seq_seconds = 0,
+               std::string note = "");
 
 class Table {
  public:
-  Table(std::string title, std::vector<std::string> extra_columns = {});
+  explicit Table(std::string title);
 
   void add(Row row);
-  const std::vector<Row>& rows() const { return rows_; }
 
   /// Paper-style fixed-width table.
   void print(std::ostream& os) const;
 
-  /// One CSV line per row (header first), for scripting.
+  /// One CSV line per row (header first), for scripting: every column
+  /// but the coherence counters and the note.
   void print_csv(std::ostream& os) const;
 
-  /// The table as a JSON document: {"title": ..., "rows": [{...}, ...]}.
+  /// The table as a JSON document: {"title", "columns": [{"key",
+  /// "gate"}, ...], "rows": [{...}, ...]}; compare_bench.py gates by the
+  /// "columns" header.
   void print_json(std::ostream& os) const;
 
   /// Writes print_json() to `path` (e.g. BENCH_api.json).  Returns false

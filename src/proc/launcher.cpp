@@ -257,11 +257,11 @@ LaunchResult run_job(const serve::JobRequest& req, const LaunchOptions& opt) {
     return out;
   }
 
-  // --- Fold the reports.  Checksums are summed in node order — the same
-  // summation order the threaded result assembly uses — so the combined
-  // value is bit-identical, not merely close.
-  std::vector<WorkerReport> reps;
-  reps.reserve(opt.nprocs);
+  // --- Fold the reports, in worker/node order, through the same fold
+  // rules the schema declares (plan::fold_results): the aggregate is
+  // bit-identical to a threaded run's.
+  std::vector<api::KernelResult> parts;
+  parts.reserve(opt.nprocs);
   for (std::uint32_t k = 0; k < opt.nprocs; ++k) {
     std::optional<WorkerReport> rep = read_report_file(report_paths[k]);
     if (!rep.has_value()) {
@@ -278,47 +278,14 @@ LaunchResult run_job(const serve::JobRequest& req, const LaunchOptions& opt) {
       out.error = buf + rep->error;
       return out;
     }
-    reps.push_back(std::move(*rep));
+    parts.push_back(rep->result);
   }
-  api::KernelResult& agg = out.result;
-  agg = reps[0].result;
-  // Per-node accounts fold through the same helper the in-process drivers
-  // use (plan::fold_accounts), in worker/node order, so the aggregate is
-  // bit-identical to a threaded run — one copy of that contract, not three.
-  agg.checksum = 0;
-  agg.refs = 0;
-  agg.max_row = 0;
-  std::vector<api::plan::NodeAccount> accounts;
-  accounts.reserve(reps.size());
-  double overhead_sum = 0;
-  double diff_create_sum = 0, diff_apply_sum = 0;
-  for (const WorkerReport& rep : reps) {
-    const api::KernelResult& k = rep.result;
-    // Globally uniform fields must agree across workers; disagreement
-    // means the runs diverged and the "one result" would be a lie.
-    if (k.steps_run != agg.steps_run || k.rebuilds != agg.rebuilds ||
-        k.barriers_per_step != agg.barriers_per_step ||
-        k.backend != agg.backend) {
-      out.error = "proc::run_job: workers disagree on globally uniform "
-                  "result fields (steps/rebuilds/barriers)";
-      return out;
-    }
-    accounts.push_back({k.checksum, k.refs, k.max_row});
-    overhead_sum += k.overhead_seconds;
-    diff_create_sum += k.diff_create_seconds;
-    diff_apply_sum += k.diff_apply_seconds;
-    if (rep.node != reps[0].node) {
-      agg.seconds = std::max(agg.seconds, k.seconds);
-      agg.messages += k.messages;
-      agg.bytes += k.bytes;
-      api::plan::add_counters(agg.tmk, k.tmk);
-    }
+  if (const char* field = api::plan::fold_results(parts, out.result)) {
+    out.error = std::string("proc::run_job: workers disagree on the "
+                            "globally uniform result field ") +
+                field;
+    return out;
   }
-  api::plan::fold_accounts(agg, accounts);
-  agg.megabytes = static_cast<double>(agg.bytes) / 1e6;
-  agg.overhead_seconds = overhead_sum / opt.nprocs;
-  agg.diff_create_seconds = diff_create_sum / opt.nprocs;
-  agg.diff_apply_seconds = diff_apply_sum / opt.nprocs;
   out.ok = true;
 
   if (made_tmp && !opt.keep_logs) {

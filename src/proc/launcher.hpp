@@ -53,10 +53,8 @@ struct LaunchOptions {
 struct LaunchResult {
   bool ok = false;
   std::string error;  ///< names the failing worker + exit status + log tail
-  /// Aggregated across workers: checksum summed in node order (bit-equal
-  /// to the threaded loop's summation), messages/bytes/refs summed,
-  /// seconds maxed, globally uniform fields (steps_run, rebuilds,
-  /// barriers_per_step) taken from worker 0 after checking agreement.
+  /// Folded across workers under the schema's fold rules
+  /// (plan::fold_results): bit-equal to a threaded run's aggregate.
   api::KernelResult result;
   std::vector<std::string> log_paths;  ///< per node, empty after cleanup
 };

@@ -15,34 +15,8 @@ void encode(Writer& w, const WorkerReport& r) {
   w.put<std::uint32_t>(r.node);
   w.put<std::uint8_t>(r.ok ? 1 : 0);
   w.put_string(r.error);
-  const api::KernelResult& k = r.result;
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(k.backend));
-  w.put(k.checksum);
-  w.put(k.seconds);
-  w.put(k.messages);
-  w.put(k.megabytes);
-  w.put(k.bytes);
-  w.put(k.overhead_seconds);
-  w.put(k.diff_create_seconds);
-  w.put(k.diff_apply_seconds);
-  w.put(k.rebuilds);
-  w.put(k.steps_run);
-  w.put(k.refs);
-  w.put(k.max_row);
-  w.put(k.barriers_per_step);
-  w.put(k.tmk.validate_calls);
-  w.put(k.tmk.validate_recomputes);
-  w.put(k.tmk.read_faults);
-  w.put(k.tmk.pages_prefetched);
-  w.put(k.tmk.twins_created);
-  w.put(k.tmk.whole_pages);
-  w.put(k.tmk.diff_bytes);
-  w.put(k.tmk.cross_prefetch_posts);
-  w.put(k.tmk.cross_prefetch_consumes);
-  w.put(k.tmk.cross_prefetch_drains);
-  w.put(k.tmk.replications);
-  w.put(k.tmk.migrations);
-  w.put(k.tmk.ghost_promotions);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(r.result.backend));
+  api::put_result(w, r.result, r.result.tmk);
 }
 
 WorkerReport decode_report(Reader& r) {
@@ -53,34 +27,8 @@ WorkerReport decode_report(Reader& r) {
   out.node = r.get<std::uint32_t>();
   out.ok = r.get<std::uint8_t>() != 0;
   out.error = r.get_string();
-  api::KernelResult& k = out.result;
-  k.backend = static_cast<api::Backend>(r.get<std::uint8_t>());
-  k.checksum = r.get<double>();
-  k.seconds = r.get<double>();
-  k.messages = r.get<std::uint64_t>();
-  k.megabytes = r.get<double>();
-  k.bytes = r.get<std::uint64_t>();
-  k.overhead_seconds = r.get<double>();
-  k.diff_create_seconds = r.get<double>();
-  k.diff_apply_seconds = r.get<double>();
-  k.rebuilds = r.get<std::int64_t>();
-  k.steps_run = r.get<std::int64_t>();
-  k.refs = r.get<std::uint64_t>();
-  k.max_row = r.get<std::uint64_t>();
-  k.barriers_per_step = r.get<double>();
-  k.tmk.validate_calls = r.get<std::uint64_t>();
-  k.tmk.validate_recomputes = r.get<std::uint64_t>();
-  k.tmk.read_faults = r.get<std::uint64_t>();
-  k.tmk.pages_prefetched = r.get<std::uint64_t>();
-  k.tmk.twins_created = r.get<std::uint64_t>();
-  k.tmk.whole_pages = r.get<std::uint64_t>();
-  k.tmk.diff_bytes = r.get<std::uint64_t>();
-  k.tmk.cross_prefetch_posts = r.get<std::uint64_t>();
-  k.tmk.cross_prefetch_consumes = r.get<std::uint64_t>();
-  k.tmk.cross_prefetch_drains = r.get<std::uint64_t>();
-  k.tmk.replications = r.get<std::uint64_t>();
-  k.tmk.migrations = r.get<std::uint64_t>();
-  k.tmk.ghost_promotions = r.get<std::uint64_t>();
+  out.result.backend = static_cast<api::Backend>(r.get<std::uint8_t>());
+  api::get_result(r, out.result, out.result.tmk);
   return out;
 }
 

@@ -2,10 +2,9 @@
 //
 // Each worker writes one small binary report file before exiting — its
 // node's KernelResult plus an ok/error verdict — and the launcher folds
-// the per-worker reports into one job-level KernelResult with the same
-// aggregation the threaded backend applies across its in-process nodes
-// (checksums summed in node order, integer message/byte counters summed,
-// seconds maxed), so the combined figures are directly comparable —
+// the per-worker reports into one job-level KernelResult with the fold
+// the threaded drivers apply across their in-process nodes
+// (plan::fold_results), so the combined figures are directly comparable —
 // bit-exactly, for the deterministic ones — with a threaded run's.
 //
 // A file (rather than a pipe) keeps the failure paths simple: a worker
@@ -26,9 +25,7 @@ struct WorkerReport {
   NodeId node = 0;
   bool ok = false;
   std::string error;  ///< non-empty when !ok
-  /// The local node's share of the job: checksum/messages/bytes/refs are
-  /// this node's contributions, steps_run/rebuilds/barriers_per_step are
-  /// globally uniform values every worker reports identically.
+  /// The local node's share of the job, folded by plan::fold_results.
   api::KernelResult result;
 };
 

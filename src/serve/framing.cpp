@@ -1,44 +1,28 @@
 #include "src/serve/framing.hpp"
 
-#include <sys/socket.h>
-
 #include <cstring>
+
+#include "src/net/sockio.hpp"
 
 namespace sdsm::serve {
 
-bool read_exact(int fd, void* buf, std::size_t n) {
-  auto* p = static_cast<std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t rc = ::recv(fd, p, n, 0);
-    if (rc <= 0) return false;
-    p += rc;
-    n -= static_cast<std::size_t>(rc);
-  }
-  return true;
-}
-
-bool write_exact(int fd, const void* buf, std::size_t n) {
-  const auto* p = static_cast<const std::uint8_t*>(buf);
-  while (n > 0) {
-    const ssize_t rc = ::send(fd, p, n, MSG_NOSIGNAL);
-    if (rc <= 0) return false;
-    p += rc;
-    n -= static_cast<std::size_t>(rc);
-  }
-  return true;
-}
-
 bool read_frame(int fd, std::vector<std::uint8_t>& payload) {
   std::uint32_t len = 0;
-  if (!read_exact(fd, &len, sizeof(len))) return false;
+  if (!net::read_full(fd, &len, sizeof(len))) return false;
   payload.resize(len);
-  return len == 0 || read_exact(fd, payload.data(), len);
+  return len == 0 || net::read_full(fd, payload.data(), len);
 }
 
 bool write_frame(int fd, const std::vector<std::uint8_t>& payload) {
+  // Length and payload leave in one send: split, Nagle holds the payload
+  // back until the peer's delayed ACK of the length arrives.
   const auto len = static_cast<std::uint32_t>(payload.size());
-  if (!write_exact(fd, &len, sizeof(len))) return false;
-  return payload.empty() || write_exact(fd, payload.data(), payload.size());
+  std::vector<std::uint8_t> frame(sizeof(len) + payload.size());
+  std::memcpy(frame.data(), &len, sizeof(len));
+  if (!payload.empty()) {
+    std::memcpy(frame.data() + sizeof(len), payload.data(), payload.size());
+  }
+  return net::write_full(fd, frame.data(), frame.size());
 }
 
 }  // namespace sdsm::serve

@@ -64,14 +64,7 @@ void encode(Writer& w, const JobStats& s) {
   w.put<std::int64_t>(s.inspector_runs);
   w.put<std::uint64_t>(s.structure_messages);
   w.put<std::uint64_t>(s.structure_bytes);
-  w.put<double>(s.checksum);
-  w.put<std::uint64_t>(s.messages);
-  w.put<double>(s.megabytes);
-  w.put<std::int64_t>(s.steps_run);
-  w.put<std::int64_t>(s.rebuilds);
-  w.put<std::uint64_t>(s.replications);
-  w.put<std::uint64_t>(s.migrations);
-  w.put<std::uint64_t>(s.ghost_promotions);
+  api::put_result(w, s, s);
   w.put<double>(s.queue_seconds);
   w.put<double>(s.run_seconds);
 }
@@ -88,40 +81,23 @@ JobStats decode_stats(Reader& r) {
   s.inspector_runs = r.get<std::int64_t>();
   s.structure_messages = r.get<std::uint64_t>();
   s.structure_bytes = r.get<std::uint64_t>();
-  s.checksum = r.get<double>();
-  s.messages = r.get<std::uint64_t>();
-  s.megabytes = r.get<double>();
-  s.steps_run = r.get<std::int64_t>();
-  s.rebuilds = r.get<std::int64_t>();
-  s.replications = r.get<std::uint64_t>();
-  s.migrations = r.get<std::uint64_t>();
-  s.ghost_promotions = r.get<std::uint64_t>();
+  api::get_result(r, s, s);
   s.queue_seconds = r.get<double>();
   s.run_seconds = r.get<double>();
   return s;
 }
 
 void encode(Writer& w, const ServerStats& s) {
-  w.put<std::uint64_t>(s.submitted);
-  w.put<std::uint64_t>(s.rejected);
-  w.put<std::uint64_t>(s.completed);
-  w.put<std::uint64_t>(s.failed);
-  w.put<std::uint64_t>(s.cache_hits);
-  w.put<std::uint64_t>(s.cache_misses);
-  w.put<std::uint64_t>(s.queue_depth);
-  w.put<std::uint64_t>(s.in_flight);
+#define SDSM_PUT_STAT(name) w.put(s.name);
+  SDSM_SERVER_STATS(SDSM_PUT_STAT)
+#undef SDSM_PUT_STAT
 }
 
 ServerStats decode_server_stats(Reader& r) {
   ServerStats s;
-  s.submitted = r.get<std::uint64_t>();
-  s.rejected = r.get<std::uint64_t>();
-  s.completed = r.get<std::uint64_t>();
-  s.failed = r.get<std::uint64_t>();
-  s.cache_hits = r.get<std::uint64_t>();
-  s.cache_misses = r.get<std::uint64_t>();
-  s.queue_depth = r.get<std::uint64_t>();
-  s.in_flight = r.get<std::uint64_t>();
+#define SDSM_GET_STAT(name) s.name = r.get<std::uint64_t>();
+  SDSM_SERVER_STATS(SDSM_GET_STAT)
+#undef SDSM_GET_STAT
   return s;
 }
 

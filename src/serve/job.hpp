@@ -15,6 +15,7 @@
 #include <string>
 
 #include "src/api/backend.hpp"
+#include "src/api/kernel.hpp"
 #include "src/common/buffer.hpp"
 #include "src/core/diff.hpp"
 #include "src/net/transport.hpp"
@@ -80,31 +81,45 @@ struct JobStats {
   std::uint64_t structure_messages = 0;
   std::uint64_t structure_bytes = 0;
 
-  double checksum = 0;
-  std::uint64_t messages = 0;
-  double megabytes = 0;
-  std::int64_t steps_run = 0;
-  std::int64_t rebuilds = 0;
-  /// Adaptive-coherence decisions during the job's timed window (snapshot
-  /// deltas; zero for static jobs).
-  std::uint64_t replications = 0;
-  std::uint64_t migrations = 0;
-  std::uint64_t ghost_promotions = 0;
+  /// The job's KernelResult, field for field under the schema's names
+  /// (src/api/kernel.hpp), and every TmkCounters counter under its own
+  /// name (timed-window snapshot deltas; the adaptive-coherence decisions
+  /// are zero for static jobs).
+#define SDSM_JOB_RESULT_FIELD(type, name, fold, gate) type name = 0;
+  SDSM_KERNEL_RESULT_FIELDS(SDSM_JOB_RESULT_FIELD)
+#undef SDSM_JOB_RESULT_FIELD
+#define SDSM_JOB_COUNTER(name, gate) std::uint64_t name = 0;
+  SDSM_TMK_COUNTERS(SDSM_JOB_COUNTER)
+#undef SDSM_JOB_COUNTER
 
   double queue_seconds = 0;  ///< admission -> worker pickup
   double run_seconds = 0;    ///< worker pickup -> completion
 };
 
-/// Server-wide counters at one point in time.
+/// Copies every result field and protocol counter of `r` into `s`.
+inline void set_result(JobStats& s, const api::KernelResult& r) {
+  const auto copy = [](const api::ResultField&, auto& dst, const auto& src) {
+    dst = src;
+  };
+  api::for_each_result_field(copy, s, r);
+  api::for_each_tmk_counter(copy, s, r.tmk);
+}
+
+/// Server-wide counters at one point in time, declared once: the members
+/// and the stats-frame codec come from this list.
+#define SDSM_SERVER_STATS(X)                                             \
+  X(submitted)    /* accepted into the queue */                          \
+  X(rejected)     /* backpressure / shutdown / unknown kernel */         \
+  X(completed)                                                           \
+  X(failed)                                                              \
+  X(cache_hits)                                                          \
+  X(cache_misses)                                                        \
+  X(queue_depth)  /* admitted, not yet picked up */                      \
+  X(in_flight)    /* picked up, not yet completed */
 struct ServerStats {
-  std::uint64_t submitted = 0;  ///< accepted into the queue
-  std::uint64_t rejected = 0;   ///< backpressure / shutdown / unknown kernel
-  std::uint64_t completed = 0;
-  std::uint64_t failed = 0;
-  std::uint64_t cache_hits = 0;
-  std::uint64_t cache_misses = 0;
-  std::uint64_t queue_depth = 0;  ///< admitted, not yet picked up
-  std::uint64_t in_flight = 0;    ///< picked up, not yet completed
+#define SDSM_SERVER_STAT(name) std::uint64_t name = 0;
+  SDSM_SERVER_STATS(SDSM_SERVER_STAT)
+#undef SDSM_SERVER_STAT
 };
 
 /// Outcome of one submit: accepted (job_id valid) or rejected with a

@@ -14,6 +14,7 @@
 #include "src/api/tmk_backend.hpp"
 #include "src/common/assert.hpp"
 #include "src/common/timer.hpp"
+#include "src/net/sockio.hpp"
 #include "src/serve/framing.hpp"
 #include "src/serve/workloads.hpp"
 
@@ -319,14 +320,7 @@ void KernelServer::run_job(Job& job) {
     }
 
     s.ok = true;
-    s.checksum = r.checksum;
-    s.messages = r.messages;
-    s.megabytes = r.megabytes;
-    s.steps_run = r.steps_run;
-    s.rebuilds = r.rebuilds;
-    s.replications = r.tmk.replications;
-    s.migrations = r.tmk.migrations;
-    s.ghost_promotions = r.tmk.ghost_promotions;
+    set_result(s, r);
     s.inspector_runs =
         static_cast<std::int64_t>(session.fresh_builds.load() / cfg_.nprocs);
     s.structure_messages = session.structure_messages.load();
@@ -398,6 +392,7 @@ void KernelServer::accept_loop() {
   for (;;) {
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) return;  // listener shut down
+    net::set_nodelay(fd);
     std::lock_guard<std::mutex> g(conns_mu_);
     const std::size_t slot = conn_fds_.size();
     conn_fds_.push_back(fd);

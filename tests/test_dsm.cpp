@@ -329,5 +329,23 @@ TEST(Dsm, WireModelRunStillCorrect) {
   });
 }
 
+// Diff-store keys carry the creator in 8 bits and the page in 24, so a
+// config beyond either width would silently alias diffs; both constructors
+// refuse it before building anything (no transport, region or thread).
+TEST(DsmDeathTest, MoreThan256NodesAborts) {
+  DsmConfig cfg = small_config(257);
+  EXPECT_DEATH({ DsmRuntime rt(cfg); }, "DsmConfig.num_nodes");
+  cfg.mode = DeployMode::kProcesses;
+  EXPECT_DEATH({ DsmRuntime rt(cfg, nullptr); }, "DsmConfig.num_nodes");
+}
+
+TEST(DsmDeathTest, RegionBeyond2To24PagesAborts) {
+  DsmConfig cfg = small_config(2);
+  cfg.region_bytes = ((std::size_t{1} << 24) + 1) * vm::system_page_size();
+  EXPECT_DEATH({ DsmRuntime rt(cfg); }, "DsmConfig.region_bytes");
+  cfg.mode = DeployMode::kProcesses;
+  EXPECT_DEATH({ DsmRuntime rt(cfg, nullptr); }, "DsmConfig.region_bytes");
+}
+
 }  // namespace
 }  // namespace sdsm::core

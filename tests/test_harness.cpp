@@ -13,12 +13,21 @@ TEST(Harness, SpeedupGuardsZero) {
   EXPECT_DOUBLE_EQ(speedup(10.0, 2.0), 5.0);
 }
 
+/// A kernel-run row with the given headline figures.
+Row run_row(const char* group, const char* variant, double seconds,
+            std::uint64_t messages, double megabytes, const char* note = "") {
+  api::KernelResult r;
+  r.seconds = seconds;
+  r.messages = messages;
+  r.megabytes = megabytes;
+  return kernel_row(group, variant, r, 2 * seconds, note);
+}
+
 TEST(Harness, TablePrintsAllRowsAndGroupsOnce) {
   Table t("Moldyn - 8 processor results");
-  t.add(Row{"Every 12 iterations", "CHAOS", 1.5, 6.0, 15704, 190.0, 4.6, ""});
-  t.add(Row{"Every 12 iterations", "Tmk base", 1.4, 6.3, 62149, 160.0, 0, ""});
-  t.add(Row{"Every 12 iterations", "Tmk optimized", 1.2, 7.1, 14528, 137.0,
-            0.02, ""});
+  t.add(run_row("Every 12 iterations", "CHAOS", 1.5, 15704, 190.0));
+  t.add(run_row("Every 12 iterations", "Tmk base", 1.4, 62149, 160.0));
+  t.add(run_row("Every 12 iterations", "Tmk optimized", 1.2, 14528, 137.0));
   std::ostringstream os;
   t.print(os);
   const std::string text = os.str();
@@ -32,10 +41,17 @@ TEST(Harness, TablePrintsAllRowsAndGroupsOnce) {
   EXPECT_EQ(text.find("Every 12 iterations", first + 1), std::string::npos);
 }
 
+TEST(Harness, KernelRowComputesSpeedupAgainstItsBaseline) {
+  const Row row = run_row("g", "v", 2.0, 1, 1.0);
+  EXPECT_DOUBLE_EQ(row.seq_seconds, 4.0);
+  EXPECT_DOUBLE_EQ(row.speedup, 2.0);
+  EXPECT_EQ(row.result.messages, 1u);
+}
+
 TEST(Harness, CsvEmitsOneLinePerRow) {
   Table t("T");
-  t.add(Row{"g", "v1", 1, 2, 3, 4, 5, ""});
-  t.add(Row{"g", "v2", 1, 2, 3, 4, 5, ""});
+  t.add(run_row("g", "v1", 1, 3, 4));
+  t.add(run_row("g", "v2", 1, 3, 4));
   std::ostringstream os;
   t.print_csv(os);
   const std::string text = os.str();
@@ -43,13 +59,16 @@ TEST(Harness, CsvEmitsOneLinePerRow) {
   for (const char c : text) lines += c == '\n' ? 1 : 0;
   EXPECT_EQ(lines, 3);  // header + 2 rows
   EXPECT_NE(text.find("g,v1"), std::string::npos);
+  EXPECT_NE(text.find("group,variant,seconds,messages"), std::string::npos);
 }
 
 TEST(Harness, JsonEmitsTitleAndOneObjectPerRow) {
   Table t("api bench");
-  t.add(Row{"g", "CHAOS", 1.5, 2.0, 10, 0.5, 0.1, "a \"quoted\" note", 0.0,
-            123456, 777});
-  t.add(Row{"g", "Tmk base", 2.5, 1.2, 99, 1.5, 0.0, ""});
+  Row chaos = run_row("g", "CHAOS", 1.5, 10, 0.5, "a \"quoted\" note");
+  chaos.result.refs = 123456;
+  chaos.result.max_row = 777;
+  t.add(chaos);
+  t.add(run_row("g", "Tmk base", 2.5, 99, 1.5));
   std::ostringstream os;
   t.print_json(os);
   const std::string text = os.str();
@@ -61,12 +80,58 @@ TEST(Harness, JsonEmitsTitleAndOneObjectPerRow) {
   EXPECT_NE(text.find("\"refs\": 123456"), std::string::npos);
   EXPECT_NE(text.find("\"max_row\": 777"), std::string::npos);
   EXPECT_NE(text.find("\"refs\": 0"), std::string::npos);
+  // Hidden schema fields are not columns.
+  EXPECT_EQ(text.find("\"checksum\""), std::string::npos);
+  EXPECT_EQ(text.find("\"steps_run\""), std::string::npos);
   int objects = 0;
   for (std::size_t i = 0; text.find("{\"group\"", i) != std::string::npos;
        i = text.find("{\"group\"", i) + 1) {
     ++objects;
   }
   EXPECT_EQ(objects, 2);
+}
+
+TEST(Harness, JsonHeaderDeclaresEveryColumnWithItsGate) {
+  Table t("gates");
+  std::ostringstream os;
+  t.print_json(os);
+  const std::string text = os.str();
+  for (const char* entry :
+       {"{\"key\": \"group\", \"gate\": \"none\"}",
+        "{\"key\": \"seconds\", \"gate\": \"lower\"}",
+        "{\"key\": \"messages\", \"gate\": \"exact\"}",
+        "{\"key\": \"megabytes\", \"gate\": \"exact\"}",
+        "{\"key\": \"overhead_seconds\", \"gate\": \"none\"}",
+        "{\"key\": \"barriers_per_step\", \"gate\": \"exact\"}",
+        "{\"key\": \"replications\", \"gate\": \"exact\"}",
+        "{\"key\": \"ghost_promotions\", \"gate\": \"exact\"}",
+        "{\"key\": \"jobs_per_sec\", \"gate\": \"higher\"}",
+        "{\"key\": \"cache_hits\", \"gate\": \"exact\"}",
+        "{\"key\": \"note\", \"gate\": \"none\"}"}) {
+    EXPECT_NE(text.find(entry), std::string::npos) << entry;
+  }
+  EXPECT_EQ(text.find("validate_calls"), std::string::npos);
+}
+
+TEST(Harness, CoherenceColumnsOnlyOnRowsThatAskForThem) {
+  Table t("coherence");
+  Row stat = run_row("g", "static", 1, 1, 1);
+  stat.result.tmk.ghost_promotions = 16;
+  Row adaptive = stat;
+  adaptive.variant = "adaptive";
+  adaptive.coherence_cols = true;
+  t.add(stat);
+  t.add(adaptive);
+  std::ostringstream os;
+  t.print_json(os);
+  const std::string text = os.str();
+  const std::size_t rows = text.find("\"rows\"");
+  ASSERT_NE(rows, std::string::npos);
+  const std::size_t hit = text.find("\"ghost_promotions\": 16", rows);
+  ASSERT_NE(hit, std::string::npos);
+  EXPECT_GT(hit, text.find("\"variant\": \"adaptive\""));
+  EXPECT_EQ(text.find("\"ghost_promotions\": 16", hit + 1),
+            std::string::npos);
 }
 
 }  // namespace

@@ -11,9 +11,13 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
+#include <vector>
 
 #include "src/api/api.hpp"
+#include "src/api/plan/fold.hpp"
 #include "src/proc/proc.hpp"
+#include "src/proc/report.hpp"
 #include "src/serve/workloads.hpp"
 
 namespace sdsm::proc {
@@ -79,6 +83,75 @@ void expect_parity(const serve::JobRequest& req) {
   EXPECT_EQ(lr.result.refs, t.refs);
   EXPECT_EQ(lr.result.max_row, t.max_row);
   EXPECT_EQ(lr.result.backend, t.backend);
+}
+
+/// A result whose every schema field and protocol counter holds a distinct
+/// non-zero value.
+api::KernelResult distinct_result() {
+  api::KernelResult r;
+  r.backend = api::Backend::kTmkOptimized;
+  int next = 1;
+  const auto fill = [&next](const api::ResultField&, auto& v) {
+    v = static_cast<std::remove_reference_t<decltype(v)>>(next++) +
+        static_cast<std::remove_reference_t<decltype(v)>>(0.25);
+  };
+  api::for_each_result_field(fill, r);
+  api::for_each_tmk_counter(fill, r.tmk);
+  return r;
+}
+
+// --- Report codec and fold ----------------------------------------------------
+
+TEST(ProcReport, RoundTripsEveryField) {
+  WorkerReport rep;
+  rep.node = 3;
+  rep.ok = false;
+  rep.error = "boom";
+  rep.result = distinct_result();
+  Writer w;
+  encode(w, rep);
+  Reader r(w.bytes());
+  const WorkerReport back = decode_report(r);
+  EXPECT_TRUE(r.done());
+  EXPECT_EQ(back.node, 3u);
+  EXPECT_FALSE(back.ok);
+  EXPECT_EQ(back.error, "boom");
+  EXPECT_EQ(back.result.backend, api::Backend::kTmkOptimized);
+  const auto same = [](const api::ResultField& f, const auto& a,
+                       const auto& b) {
+    using V = std::remove_cvref_t<decltype(a)>;
+    EXPECT_NE(a, V{}) << f.name;
+    EXPECT_EQ(a, b) << f.name;
+  };
+  api::for_each_result_field(same, back.result, rep.result);
+  api::for_each_tmk_counter(same, back.result.tmk, rep.result.tmk);
+}
+
+TEST(ProcReport, FoldAppliesEachFieldsRule) {
+  std::vector<api::KernelResult> parts(2, distinct_result());
+  parts[1].checksum = 0.5;
+  parts[1].seconds = 100;
+  parts[1].bytes = 3'000'000;
+  parts[1].overhead_seconds = 3;
+  parts[1].max_row = 1;
+  parts[1].tmk.ghost_promotions = 5;
+  api::KernelResult agg;
+  ASSERT_EQ(api::plan::fold_results(parts, agg), nullptr);
+  EXPECT_EQ(agg.checksum, 0.0 + parts[0].checksum + 0.5);         // kNodeSum
+  EXPECT_EQ(agg.seconds, 100);                                    // kMax
+  EXPECT_EQ(agg.messages, 2 * parts[0].messages);                 // kSum
+  EXPECT_EQ(agg.bytes, parts[0].bytes + 3'000'000);               // kSum
+  EXPECT_EQ(agg.megabytes, static_cast<double>(agg.bytes) / 1e6);  // kDerived
+  EXPECT_EQ(agg.overhead_seconds, (parts[0].overhead_seconds + 3) / 2);
+  EXPECT_EQ(agg.max_row, parts[0].max_row);                       // kMax
+  EXPECT_EQ(agg.rebuilds, parts[0].rebuilds);                     // kUniform
+  EXPECT_EQ(agg.tmk.ghost_promotions, parts[0].tmk.ghost_promotions + 5);
+
+  parts[1].steps_run += 1;
+  EXPECT_STREQ(api::plan::fold_results(parts, agg), "steps_run");
+  parts[1] = parts[0];
+  parts[1].backend = api::Backend::kTmkBase;
+  EXPECT_STREQ(api::plan::fold_results(parts, agg), "backend");
 }
 
 // --- Wire parity: the acceptance contract ----------------------------------

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/api/api.hpp"
@@ -481,21 +482,26 @@ TEST(ServeCodec, RequestRoundTrip) {
 }
 
 TEST(ServeCodec, StatsRoundTrip) {
+  // Every field set, each to a distinct non-zero value: a field the codec
+  // drops comes back zero and fails by name.
   JobStats s;
   s.job_id = 7;
   s.ok = true;
+  s.error = "none";
   s.kernel = "moldyn";
   s.backend = api::Backend::kTmkBase;
   s.cache_eligible = true;
   s.cache_hit = true;
-  s.inspector_runs = 0;
+  s.inspector_runs = 3;
   s.structure_messages = 12;
   s.structure_bytes = 3456;
-  s.checksum = 1.25;
-  s.messages = 562;
-  s.megabytes = 0.75;
-  s.steps_run = 8;
-  s.rebuilds = 2;
+  int next = 1;
+  const auto fill = [&next](const api::ResultField&, auto& v) {
+    using V = std::remove_reference_t<decltype(v)>;
+    v = static_cast<V>(next++) + static_cast<V>(0.25);
+  };
+  api::for_each_result_field(fill, s);
+  api::for_each_tmk_counter(fill, s);
   s.queue_seconds = 0.5;
   s.run_seconds = 1.5;
   Writer w;
@@ -505,14 +511,42 @@ TEST(ServeCodec, StatsRoundTrip) {
   EXPECT_TRUE(r.done());
   EXPECT_EQ(back.job_id, 7u);
   EXPECT_TRUE(back.ok);
+  EXPECT_EQ(back.error, "none");
   EXPECT_EQ(back.kernel, "moldyn");
   EXPECT_EQ(back.backend, api::Backend::kTmkBase);
+  EXPECT_TRUE(back.cache_eligible);
   EXPECT_TRUE(back.cache_hit);
+  EXPECT_EQ(back.inspector_runs, 3);
+  EXPECT_EQ(back.structure_messages, 12u);
   EXPECT_EQ(back.structure_bytes, 3456u);
-  EXPECT_EQ(back.checksum, 1.25);
-  EXPECT_EQ(back.messages, 562u);
-  EXPECT_EQ(back.rebuilds, 2);
+  const auto same = [](const api::ResultField& f, const auto& a,
+                       const auto& b) {
+    using V = std::remove_cvref_t<decltype(a)>;
+    EXPECT_NE(a, V{}) << f.name;
+    EXPECT_EQ(a, b) << f.name;
+  };
+  api::for_each_result_field(same, back, s);
+  api::for_each_tmk_counter(same, back, s);
+  EXPECT_EQ(back.replications, s.replications);
+  EXPECT_EQ(back.ghost_promotions, s.ghost_promotions);
+  EXPECT_EQ(back.queue_seconds, 0.5);
   EXPECT_EQ(back.run_seconds, 1.5);
+}
+
+TEST(ServeCodec, SetResultCopiesEveryFieldAndCounter) {
+  api::KernelResult r;
+  r.messages = 10;
+  r.bytes = 2'000'000;
+  r.barriers_per_step = 9.5;
+  r.tmk.validate_calls = 4;
+  r.tmk.ghost_promotions = 16;
+  JobStats s;
+  set_result(s, r);
+  EXPECT_EQ(s.messages, 10u);
+  EXPECT_EQ(s.bytes, 2'000'000u);
+  EXPECT_EQ(s.barriers_per_step, 9.5);
+  EXPECT_EQ(s.validate_calls, 4u);
+  EXPECT_EQ(s.ghost_promotions, 16u);
 }
 
 // --- Snapshot-and-delta stats ----------------------------------------------
