@@ -22,11 +22,13 @@
 // socket run writes BENCH_api_socket.json so the two trajectories never
 // overwrite each other.
 //
+// `--schedule`, `--coherence` and `--exec` apply to every kernel group
+// except the A/B groups that pin the knob they compare.
+//
 // `--group=<filter>[,<filter>...]` runs only the groups whose name
 // contains one of the (comma-separated) filters — e.g. `--group=proc`,
 // `--group=fault,serve`, `--group=coherence` (the adaptive-coherence A/B
-// groups), `--group=diff-` (the diff-engine A/B groups), or
-// `--group=bucketed` — so a new group can be exercised in seconds
+// groups), or `--group=bucketed` — so a new group can be exercised in seconds
 // without the full sweep.  A filtered run never writes the bench JSON:
 // the committed baseline holds every group, and overwriting it with a
 // subset would fail the exact gate on the missing rows.  `--help` lists
@@ -87,6 +89,25 @@ bool any_group_enabled(const harness::Options& opt,
   return false;
 }
 
+/// One backend run as a row, labelled with the knobs it ran under.
+harness::Row backend_row(const char* group, api::Backend b,
+                         const api::KernelResult& r, double seq_seconds,
+                         std::string note, const api::RunKnobs& knobs) {
+  harness::Row row = harness::kernel_row(group, api::backend_name(b), r,
+                                         seq_seconds, std::move(note));
+  // The schedule column names the reduction-round engine; CHAOS has no
+  // notion of reduction rounds, so its rows carry "-".
+  if (b != api::Backend::kChaos) {
+    row.schedule = api::round_schedule_name(knobs.round_schedule);
+  }
+  // Adaptive rows carry the decision counters as extra exact-gate columns;
+  // static rows omit them so the pre-existing JSON stays byte-identical.
+  // CHAOS ignores the policy and reports zeros.
+  row.coherence_cols =
+      knobs.coherence == coherence::CoherencePolicy::kAdaptive;
+  return row;
+}
+
 void add_row(harness::Table& table, const char* group, api::Backend b,
              double seq_seconds, double seq_checksum,
              const api::BackendOptions& opts, const api::KernelResult& r) {
@@ -94,19 +115,7 @@ void add_row(harness::Table& table, const char* group, api::Backend b,
   std::snprintf(note, sizeof(note), "checksum %s, %lld rebuilds",
                 checksum_close(seq_checksum, r.checksum) ? "OK" : "MISMATCH",
                 static_cast<long long>(r.rebuilds));
-  harness::Row row =
-      harness::kernel_row(group, api::backend_name(b), r, seq_seconds, note);
-  // The schedule column names the reduction-round engine; CHAOS has no
-  // notion of reduction rounds, so its rows carry "-".
-  if (b != api::Backend::kChaos) {
-    row.schedule = api::round_schedule_name(opts.round_schedule);
-  }
-  // Adaptive rows carry the decision counters as extra exact-gate columns;
-  // static rows omit them so the pre-existing JSON stays byte-identical.
-  // CHAOS ignores the policy and reports zeros.
-  row.coherence_cols =
-      opts.coherence == coherence::CoherencePolicy::kAdaptive;
-  table.add(std::move(row));
+  table.add(backend_row(group, b, r, seq_seconds, note, opts));
 }
 
 void add_rows(
@@ -140,56 +149,27 @@ void add_tournament_rows(
   }
 }
 
-/// The diff-engine A/B rows: the identical workload run with the scalar
-/// and word twin-scan engines, one group per engine ("<prefix> diff-scalar"
-/// / "<prefix> diff-word").  Tmk backends only — CHAOS keeps no twins, so
-/// its rows would not move.  Run segmentation is a pure function of the
-/// data, so the encoded bytes — and therefore the messages and megabytes
-/// columns — must match across the two groups EXACTLY (the gate); only
-/// the diff_create_seconds column is allowed to differ.
-void add_diff_engine_rows(
-    harness::Table& table, const std::vector<api::Backend>& backends,
-    const char* group_prefix, double seq_seconds, double seq_checksum,
-    api::BackendOptions opts,
-    const std::function<api::KernelResult(api::Backend,
-                                          const api::BackendOptions&)>& run_one) {
-  for (const core::DiffEngine e :
-       {core::DiffEngine::kScalar, core::DiffEngine::kWord}) {
-    opts.diff_engine = e;
-    const std::string group =
-        std::string(group_prefix) + " diff-" + core::diff_engine_name(e);
-    for (const api::Backend b :
-         {api::Backend::kTmkBase, api::Backend::kTmkOptimized}) {
-      if (std::find(backends.begin(), backends.end(), b) == backends.end()) {
-        continue;
-      }
-      add_row(table, group.c_str(), b, seq_seconds, seq_checksum, opts,
-              run_one(b, opts));
-    }
-  }
-}
-
-/// One serving-layer job outcome as a table row.  `seconds` is the job's
-/// run time (queue wait excluded), so serve rows are comparable to the
-/// one-shot rows of the same workload.
+/// One serving-layer job outcome as a table row: every result field the
+/// job reported, except that `seconds` is the job's run time (queue wait
+/// excluded), so serve rows are comparable to the one-shot rows of the
+/// same workload.
 void add_serve_row(harness::Table& table, const char* group,
                    double seq_seconds, double seq_checksum,
-                   const serve::JobStats& s) {
+                   const api::RunKnobs& knobs, const serve::JobStats& s) {
   char note[112];
   std::snprintf(note, sizeof(note),
                 "checksum %s, %lld inspector runs, %llu structure msgs",
                 checksum_close(seq_checksum, s.checksum) ? "OK" : "MISMATCH",
                 static_cast<long long>(s.inspector_runs),
                 static_cast<unsigned long long>(s.structure_messages));
-  api::KernelResult r;  // the job's traffic and rebuilds only
+  api::KernelResult r;
+  const auto copy = [](const api::ResultField&, auto& dst, const auto& src) {
+    dst = src;
+  };
+  api::for_each_result_field(copy, r, s);
+  api::for_each_tmk_counter(copy, r.tmk, s);
   r.seconds = s.run_seconds;
-  r.messages = s.messages;
-  r.megabytes = s.megabytes;
-  r.rebuilds = s.rebuilds;
-  harness::Row row = harness::kernel_row(group, api::backend_name(s.backend),
-                                         r, seq_seconds, note);
-  row.schedule = s.backend == api::Backend::kChaos ? "-" : "serial";
-  table.add(row);
+  table.add(backend_row(group, s.backend, r, seq_seconds, note, knobs));
 }
 
 /// The serving-layer groups.  Workers = 1 throughout: a single worker
@@ -198,7 +178,7 @@ void add_serve_row(harness::Table& table, const char* group,
 /// these rows exactly.
 void add_serve_groups(harness::Table& table,
                       const std::vector<api::Backend>& backends,
-                      net::TransportKind transport) {
+                      const api::RunKnobs& knobs) {
   // --- one-shot vs serve-miss vs serve-hit: moldyn 2048x12 ----------------
   moldyn::Params p;
   p.num_molecules = 2048;
@@ -220,10 +200,10 @@ void add_serve_groups(harness::Table& table,
   req.graph.num_elements = p.num_molecules;
   req.graph.num_steps = p.num_steps;
   req.graph.update_interval = p.update_interval;
-  req.transport = transport;
+  req.knobs = knobs;
 
-  api::BackendOptions opts = moldyn::default_options();
-  opts.transport = transport;
+  const api::BackendOptions opts =
+      api::with_knobs(moldyn::default_options(), knobs);
 
   std::vector<api::KernelResult> one_shot;
   std::vector<serve::JobStats> miss, hit;
@@ -239,11 +219,11 @@ void add_serve_groups(harness::Table& table,
   }
   for (const serve::JobStats& s : miss) {
     add_serve_row(table, "serve moldyn 2048x12 miss", seq.seconds,
-                  seq.checksum, s);
+                  seq.checksum, knobs, s);
   }
   for (const serve::JobStats& s : hit) {
     add_serve_row(table, "serve moldyn 2048x12 hit", seq.seconds,
-                  seq.checksum, s);
+                  seq.checksum, knobs, s);
   }
 
   // --- throughput: mixed job stream, second half all cache hits -----------
@@ -265,7 +245,7 @@ void add_serve_groups(harness::Table& table,
         }
         serve::JobRequest r;
         r.backend = b;
-        r.transport = transport;
+        r.knobs = knobs;
         if (is_moldyn) {
           r.kernel = "moldyn";
           r.graph.num_elements = 1024;
@@ -381,22 +361,23 @@ void add_fault_latency_rows(harness::Table& table) {
 /// the seconds column carries the real fork + rendezvous + TCP-mesh
 /// deployment cost.
 void add_proc_rows(harness::Table& table,
-                   const std::vector<api::Backend>& backends) {
+                   const std::vector<api::Backend>& backends,
+                   const api::RunKnobs& knobs) {
   constexpr std::uint32_t kProcNodes = 4;
   serve::JobRequest req;
   req.kernel = "spmv";
   req.graph.num_elements = 4096;
   req.graph.num_steps = 8;
   req.graph.edges_per_vertex = 4;
-  req.transport = net::TransportKind::kSocket;
+  req.knobs = knobs;
+  req.knobs.transport = net::TransportKind::kSocket;  // the workers' fabric
 
   for (const api::Backend b : backends) {
     if (b == api::Backend::kChaos) continue;  // threads-only backend
     req.backend = b;
 
     const serve::PreparedJob prepared = serve::prepare_job(req, kProcNodes);
-    api::BackendOptions opts = prepared.base_options;
-    opts.transport = net::TransportKind::kSocket;
+    const api::BackendOptions& opts = prepared.options;
     const api::KernelResult tr = api::run_kernel(b, prepared.spec, opts);
 
     proc::LaunchOptions lopt;
@@ -415,9 +396,8 @@ void add_proc_rows(harness::Table& table,
       char note[96];
       std::snprintf(note, sizeof(note), "parity vs threads %s",
                     parity ? "OK" : "MISMATCH");
-      table.add(harness::kernel_row("proc spmv 4096x8 processes",
-                                    api::backend_name(b), lr.result, 0,
-                                    note));
+      table.add(backend_row("proc spmv 4096x8 processes", b, lr.result, 0,
+                            note, opts));
     }
   }
 }
@@ -425,7 +405,8 @@ void add_proc_rows(harness::Table& table,
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Options opt = harness::Options::parse(argc, argv);
+  const harness::Options opt =
+      harness::Options::parse(argc, argv, {"group", "help"});
   if (opt.flag("help")) {
     std::printf(
         "bench_api: the unified-API benchmark sweep.  A full run rewrites\n"
@@ -442,30 +423,23 @@ int main(int argc, char** argv) {
         "      the sweep only when named — its dedicated \"hybrid ...\"\n"
         "      groups run regardless)\n"
         "  --schedule=serial|tournament\n"
-        "      Tmk reduction-round engine for binaries that honor it; the\n"
-        "      bench runs its own serial-vs-tournament A/B groups instead\n"
-        "  --mode=threads|processes\n"
-        "      deployment mode for binaries that honor it; the bench runs\n"
-        "      its own threads-vs-processes parity groups instead\n"
+        "      Tmk reduction-round engine for every kernel group (default\n"
+        "      serial); the \"... tournament\" groups pin tournament\n"
+        "  --mode=threads\n"
+        "      the sweep runs node threads only (processes exits 2); the\n"
+        "      \"proc ...\" groups run the threads-vs-processes parity rows\n"
         "  --coherence=static|adaptive\n"
-        "      page-coherence policy for binaries that honor it; the bench\n"
-        "      runs its own static-vs-adaptive A/B (the \"coherence ...\n"
-        "      adaptive\" groups) instead\n"
-        "  --diff-engine=scalar|word\n"
-        "      twin-vs-page scan engine for every non-A/B group (default\n"
-        "      word); encodings are byte-identical either way, so only the\n"
-        "      diff_create_seconds column moves.  The \"... diff-scalar\" /\n"
-        "      \"... diff-word\" groups pin both engines regardless\n"
+        "      page-coherence policy for every kernel group (default\n"
+        "      static); the \"coherence ... adaptive\" groups pin adaptive\n"
         "  --exec=rows|bucketed\n"
-        "      work-item iteration engine for every non-A/B group (default\n"
-        "      rows); the \"... bucketed\" groups pin the bucketed engine\n"
-        "      regardless\n"
+        "      work-item iteration engine for every kernel group (default\n"
+        "      rows); the \"... bucketed\" groups pin bucketed\n"
         "  --group=<filter>[,<filter>...]\n"
         "      run only the groups whose name contains one of the filters,\n"
         "      e.g. --group=proc, --group=fault,serve, --group=coherence\n"
-        "      (the adaptive-coherence A/B groups), --group=diff- (the\n"
-        "      diff-engine A/B groups), --group=bucketed, or --group=hybrid\n"
-        "      (the mixed-assignment hybrid-backend groups).  A filtered\n"
+        "      (the adaptive-coherence A/B groups), --group=bucketed, or\n"
+        "      --group=hybrid (the mixed-assignment hybrid-backend\n"
+        "      groups).  A filtered\n"
         "      run never rewrites the bench JSON: the committed baseline\n"
         "      holds every group, and a subset would fail the exact gate\n"
         "      on the missing rows\n"
@@ -473,21 +447,20 @@ int main(int argc, char** argv) {
         "      this text\n");
     return 0;
   }
-  const net::TransportKind transport = opt.transport;
-  // Base options for every group: the fabric plus the engine selections
-  // from the shared command line (the defaults — word diffs, row-order
-  // execution — are what the committed baseline was generated with).
-  const auto base = [&](api::BackendOptions o) {
-    o.transport = transport;
-    o.diff_engine = opt.diff_engine;
-    o.exec_engine = opt.exec_engine;
-    return o;
+  opt.threads_only("the \"proc\" groups run the process-mode rows");
+  const net::TransportKind transport = opt.knobs.transport;
+  // Base options for every group: the workload's defaults under the knobs
+  // from the shared command line (the defaults — serial schedule, static
+  // coherence, row-order execution — are what the committed baseline was
+  // generated with).
+  const auto base = [&](const api::BackendOptions& o) {
+    return api::with_knobs(o, opt.knobs);
   };
   std::printf(
       "sdsm::api backend sweep: 6 workloads (+ the nbf padded-vs-CSR "
       "comparison, the moldyn/pagerank/bfs/cc tournament-schedule A/B, the "
-      "moldyn/pagerank adaptive-coherence A/B, the moldyn/pagerank "
-      "diff-engine A/B, the moldyn/pagerank/spmv bucketed-execution rows, "
+      "moldyn/pagerank adaptive-coherence A/B, "
+      "the moldyn/pagerank/spmv bucketed-execution rows, "
       "the moldyn/pagerank hybrid-backend rows, "
       "and the serving-layer one-shot/miss/hit + throughput groups) "
       "x 3 backends, %u nodes, %s transport.\n\n",
@@ -497,8 +470,6 @@ int main(int argc, char** argv) {
   if (any_group_enabled(opt, {"moldyn 4096x24", "moldyn 4096x24 tournament",
                               "coherence moldyn 4096x24 adaptive",
                               "coherence moldyn 4096x24 adaptive tournament",
-                              "moldyn 4096x24 diff-scalar",
-                              "moldyn 4096x24 diff-word",
                               "moldyn 4096x24 bucketed",
                               "hybrid moldyn 4096x24"})) {
     moldyn::Params p;
@@ -530,14 +501,6 @@ int main(int argc, char** argv) {
                         [&](api::Backend b, const api::BackendOptions& o) {
                           return moldyn::run(b, p, sys, o);
                         });
-    // The diff-engine A/B: scalar vs word twin scans, traffic exact-gated
-    // identical across the two groups (encodings are byte-identical by
-    // construction); only diff_create_seconds moves.
-    add_diff_engine_rows(table, opt.backends, "moldyn 4096x24", seq.seconds,
-                         seq.checksum, opts,
-                         [&](api::Backend b, const api::BackendOptions& o) {
-                           return moldyn::run(b, p, sys, o);
-                         });
     // The bucketed-execution rows: CSR rows sorted into power-of-two
     // degree buckets at rebuild, uniform buckets through fixed-arity inner
     // loops.  Buckets are a pure function of the backend-identical
@@ -614,8 +577,6 @@ int main(int argc, char** argv) {
   if (any_group_enabled(opt, {"pagerank 16384x8", "pagerank 16384x8 tournament",
                               "coherence pagerank 16384x8 adaptive",
                               "coherence pagerank 16384x8 adaptive tournament",
-                              "pagerank 16384x8 diff-scalar",
-                              "pagerank 16384x8 diff-word",
                               "pagerank 16384x8 bucketed",
                               "hybrid pagerank 16384x8"})) {
     pagerank::Params p;
@@ -643,11 +604,6 @@ int main(int argc, char** argv) {
                         [&](api::Backend b, const api::BackendOptions& o) {
                           return pagerank::run(b, p, o);
                         });
-    add_diff_engine_rows(table, opt.backends, "pagerank 16384x8", seq.seconds,
-                         seq.checksum, opts,
-                         [&](api::Backend b, const api::BackendOptions& o) {
-                           return pagerank::run(b, p, o);
-                         });
     // Power-law degrees: the bucketed engine reorders the accumulation, so
     // the checksum differs from row order in the last bits but is still
     // deterministic — bit-exact across backends, checksum_close to seq.
@@ -706,14 +662,14 @@ int main(int argc, char** argv) {
                               "serve moldyn 2048x12 miss",
                               "serve moldyn 2048x12 hit",
                               "serve throughput mixed stream"})) {
-    add_serve_groups(table, opt.backends, transport);
+    add_serve_groups(table, opt.backends, opt.knobs);
   }
   if (group_enabled(opt, "fault latency 256 pages")) {
     add_fault_latency_rows(table);
   }
   if (any_group_enabled(opt, {"proc spmv 4096x8 threads",
                               "proc spmv 4096x8 processes"})) {
-    add_proc_rows(table, opt.backends);
+    add_proc_rows(table, opt.backends, opt.knobs);
   }
 
   table.print(std::cout);

@@ -11,12 +11,15 @@
 // message costs here are ~10^3 cheaper than SP2 UDP, so the ratio, not the
 // absolute seconds, is the reproduction target).  No simulated wire cost:
 // the real in-process fabric plays the interconnect.
+// The shared harness flags select the run knobs and backends; the
+// defaults reproduce the table.
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_params.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
 #include "src/harness/experiment.hpp"
+#include "src/harness/options.hpp"
 
 namespace {
 
@@ -37,7 +40,9 @@ moldyn::Params paper_params(int update_interval) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const harness::Options opt = harness::Options::parse(argc, argv);
+  opt.threads_only("the table runs node threads only");
   std::printf("Table 1 reproduction: moldyn, %u processors.\n", bench::kNodes);
   std::printf(
       "Paper: 16384 molecules / 40 steps, list updated every 20/15/11.\n"
@@ -54,9 +59,10 @@ int main() {
     std::snprintf(group, sizeof(group), "Every %d iterations (seq = %.2f s)",
                   interval, seq.seconds);
 
-    api::BackendOptions opts = moldyn::default_options();
+    api::BackendOptions opts =
+        api::with_knobs(moldyn::default_options(), opt.knobs);
     opts.region_bytes = 1u << 30;  // the 2-int interaction list dominates
-    for (const api::Backend b : api::kAllBackends) {
+    for (const api::Backend b : opt.backends) {
       const auto r = moldyn::run(b, p, sys, opts);
       char note[64] = "";
       if (b == api::Backend::kChaos) {

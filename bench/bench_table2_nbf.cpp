@@ -6,12 +6,15 @@
 // -> false sharing between neighbouring nodes), 32x1024=32768; 100
 // partners per molecule, last 10 of 11 iterations timed, inspector and
 // list-scan excluded from the timing as in the paper.
+// The shared harness flags select the run knobs and backends; the
+// defaults reproduce the table.
 #include <cstdio>
 #include <iostream>
 
 #include "bench/bench_params.hpp"
 #include "src/apps/nbf/nbf_kernel.hpp"
 #include "src/harness/experiment.hpp"
+#include "src/harness/options.hpp"
 
 namespace {
 
@@ -30,7 +33,9 @@ nbf::Params scaled_params(std::int64_t molecules) {
 
 }  // namespace
 
-int main() {
+int main(int argc, char** argv) {
+  const harness::Options opt = harness::Options::parse(argc, argv);
+  opt.threads_only("the table runs node threads only");
   std::printf("Table 2 reproduction: NBF kernel, %u processors.\n",
               bench::kNodes);
   std::printf("Paper sizes: 64x1024 / 64x1000 / 32x1024, 100 partners.\n\n");
@@ -50,9 +55,10 @@ int main() {
     std::snprintf(group, sizeof(group), "%s (seq = %.2f s)", size.label,
                   seq.seconds);
 
-    api::BackendOptions opts = nbf::default_options();
+    api::BackendOptions opts =
+        api::with_knobs(nbf::default_options(), opt.knobs);
     opts.region_bytes = 64u << 20;
-    for (const api::Backend b : api::kAllBackends) {
+    for (const api::Backend b : opt.backends) {
       const auto r = nbf::run(b, p, opts);
       char note[64] = "";
       if (b == api::Backend::kChaos) {

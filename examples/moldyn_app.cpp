@@ -5,6 +5,10 @@
 //
 // Build & run:   ./build/moldyn_app [--transport=inproc|socket]
 //                                   [--backend=chaos|tmk-base|tmk-optimized]
+//                                   [--schedule=serial|tournament]
+//                                   [--coherence=static|adaptive]
+//                                   [--exec=rows|bucketed]
+// Node threads only: --mode=processes exits 2.
 #include <cstdio>
 #include <iostream>
 
@@ -17,6 +21,7 @@ using namespace sdsm::apps;
 
 int main(int argc, char** argv) {
   const harness::Options opt = harness::Options::parse(argc, argv);
+  opt.threads_only("moldyn_app runs node threads only");
   moldyn::Params p;
   p.num_molecules = 2048;
   p.num_steps = 12;
@@ -34,9 +39,9 @@ int main(int argc, char** argv) {
               seq.checksum);
 
   harness::Table table("moldyn variants");
-  api::BackendOptions opts = moldyn::default_options();
+  api::BackendOptions opts =
+      api::with_knobs(moldyn::default_options(), opt.knobs);
   opts.region_bytes = 16u << 20;
-  opts.transport = opt.transport;
 
   for (const api::Backend b : opt.backends) {
     const auto r = moldyn::run(b, p, sys, opts);

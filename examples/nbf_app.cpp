@@ -4,6 +4,10 @@
 //
 // Build & run:   ./build/nbf_app [--transport=inproc|socket]
 //                                [--backend=chaos|tmk-base|tmk-optimized]
+//                                [--schedule=serial|tournament]
+//                                [--coherence=static|adaptive]
+//                                [--exec=rows|bucketed]
+// Node threads only: --mode=processes exits 2.
 #include <cstdio>
 #include <iostream>
 
@@ -16,6 +20,7 @@ using namespace sdsm::apps;
 
 int main(int argc, char** argv) {
   const harness::Options opt = harness::Options::parse(argc, argv);
+  opt.threads_only("nbf_app runs node threads only");
   for (const std::int64_t molecules : {8192, 8000}) {
     nbf::Params p;
     p.molecules = molecules;
@@ -32,9 +37,9 @@ int main(int argc, char** argv) {
     const auto seq = nbf::run_seq(p);
     harness::Table table("nbf variants");
 
-    api::BackendOptions opts = nbf::default_options();
+    api::BackendOptions opts =
+        api::with_knobs(nbf::default_options(), opt.knobs);
     opts.region_bytes = 16u << 20;
-    opts.transport = opt.transport;
     for (const api::Backend b : opt.backends) {
       const auto r = nbf::run(b, p, opts);
       table.add(harness::kernel_row(

@@ -19,7 +19,9 @@
 // Build & run:   ./build/quickstart [--transport=inproc|socket]
 //                                   [--backend=chaos|tmk-base|tmk-optimized|hybrid]
 //                                   [--mode=threads|processes]
+//                                   [--schedule=serial|tournament]
 //                                   [--coherence=static|adaptive]
+//                                   [--exec=rows|bucketed]
 #include <cstdio>
 
 #include "src/api/api.hpp"
@@ -33,15 +35,13 @@ int main(int argc, char** argv) {
   const harness::Options opt = harness::Options::parse(argc, argv);
   const apps::quickstart::Params params;  // the defaults: 4096 x 4 nodes
 
-  api::BackendOptions options = apps::quickstart::default_options();
-  options.transport = opt.transport;
+  api::BackendOptions options =
+      api::with_knobs(apps::quickstart::default_options(), opt.knobs);
   options.mode = opt.mode;
-  options.coherence = opt.coherence;
 
   serve::JobRequest req;  // the process-mode job description
   req.kernel = "quickstart";
-  req.transport = net::TransportKind::kSocket;
-  req.coherence = opt.coherence;
+  req.knobs = opt.knobs;
 
   std::printf("%-14s %12s %10s %10s %12s\n", "backend", "checksum",
               "messages", "data(MB)", "overhead(s)");

@@ -7,13 +7,19 @@
 // every step, never cached), on the Tmk-optimized and CHAOS backends.
 //
 // Build & run:   ./build/serve_app [--transport=inproc|socket]
+//                                  [--backend=chaos|tmk-optimized]
 //                                  [--schedule=serial|tournament]
 //                                  [--coherence=static|adaptive]
+//                                  [--exec=rows|bucketed]
 //                                  [--nprocs=N] [--smoke]
+//
+// Every job runs the knobs of the command line.  The server's engines are
+// in-process: --mode=processes exits 2.
 //
 // --smoke is the CI mode: every check (completions, bit-exact repeat
 // checksums, hit-path inspector runs = 0, zero queue leaks at shutdown)
 // turns into a process exit code instead of a table footnote.
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -40,8 +46,20 @@ void check(bool ok, const char* what) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Options opt = harness::Options::parse(argc, argv);
+  const harness::Options opt =
+      harness::Options::parse(argc, argv, {"smoke", "nprocs"});
   const bool smoke = opt.flag("smoke");
+  opt.threads_only("serve_app's engines run node threads");
+  std::vector<api::Backend> backends;  // the stream's pair, per --backend
+  for (const api::Backend b : {api::Backend::kTmkOptimized,
+                               api::Backend::kChaos}) {
+    if (std::ranges::count(opt.backends, b) > 0) backends.push_back(b);
+  }
+  if (backends.empty()) {
+    harness::Options::reject(
+        "--backend", api::backend_name(opt.backends.front()),
+        "serve_app streams the Tmk-optimized and CHAOS backends");
+  }
 
   serve::ServerConfig cfg;
   cfg.nprocs = 4;
@@ -63,17 +81,14 @@ int main(int argc, char** argv) {
   // builders are stateful, so it is not structure-cacheable).
   std::vector<serve::JobRequest> stream;
   for (int round = 0; round < 2; ++round) {
-    for (const api::Backend b :
-         {api::Backend::kTmkOptimized, api::Backend::kChaos}) {
+    for (const api::Backend b : backends) {
       serve::JobRequest m;
       m.kernel = "moldyn";
       m.graph.num_elements = 512;
       m.graph.num_steps = 8;
       m.graph.update_interval = 4;
       m.backend = b;
-      m.schedule = opt.schedule;
-      m.coherence = opt.coherence;
-      m.transport = opt.transport;
+      m.knobs = opt.knobs;
       stream.push_back(m);
 
       serve::JobRequest g;
@@ -82,8 +97,7 @@ int main(int argc, char** argv) {
       g.graph.num_steps = 8;
       g.graph.chords_per_vertex = 2;
       g.backend = b;
-      g.coherence = opt.coherence;
-      g.transport = opt.transport;
+      g.knobs = opt.knobs;
       stream.push_back(g);
     }
   }

@@ -4,10 +4,14 @@
 // identical job, the wire-parity claim of sdsm::proc, with a nonzero
 // exit on any mismatch (CI's proc-smoke gate).
 //
-// Build & run:   ./build/spmv_app [--transport=inproc|socket]
+// Build & run:   ./build/spmv_app [--transport=socket|inproc]
 //                                 [--backend=tmk-base|tmk-optimized|chaos]
 //                                 [--mode=threads|processes] [--verify]
+//                                 [--schedule=serial|tournament]
 //                                 [--coherence=static|adaptive]
+//                                 [--exec=rows|bucketed]
+// The fabric defaults to socket, the one the process-mode workers use, so
+// threaded and process rows compare; --verify requires it.
 #include <cmath>
 #include <cstdio>
 
@@ -23,27 +27,21 @@ namespace {
 
 constexpr std::uint32_t kNprocs = 4;
 
-serve::JobRequest job_for(api::Backend b, coherence::CoherencePolicy c) {
+serve::JobRequest job_for(api::Backend b, const api::RunKnobs& knobs) {
   serve::JobRequest req;
   req.kernel = "spmv";
   req.graph.num_elements = 2048;
   req.graph.num_steps = 4;
   req.backend = b;
-  req.coherence = c;
-  req.transport = net::TransportKind::kSocket;
+  req.knobs = knobs;
   return req;
 }
 
 /// Threaded run of exactly the job the workers execute: same prepare_job
-/// materialization, same socket fabric, nodes as threads.
+/// materialization and knobs, nodes as threads.
 api::KernelResult run_threaded(const serve::JobRequest& req) {
   const serve::PreparedJob prepared = serve::prepare_job(req, kNprocs);
-  api::BackendOptions options = prepared.base_options;
-  options.transport = net::TransportKind::kSocket;
-  options.round_schedule = req.schedule;
-  options.cross_step_prefetch = req.cross_step_prefetch;
-  options.coherence = req.coherence;
-  return api::run_kernel(req.backend, prepared.spec, options);
+  return api::run_kernel(req.backend, prepared.spec, prepared.options);
 }
 
 void print_row(const char* label, const api::KernelResult& r) {
@@ -55,15 +53,23 @@ void print_row(const char* label, const api::KernelResult& r) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  const harness::Options opt = harness::Options::parse(argc, argv);
+  api::RunKnobs defaults;
+  defaults.transport = net::TransportKind::kSocket;
+  const harness::Options opt =
+      harness::Options::parse(argc, argv, {"verify"}, defaults);
   const bool verify = opt.flag("verify");
+  if (verify && opt.knobs.transport != net::TransportKind::kSocket) {
+    harness::Options::reject(
+        "--transport", net::transport_name(opt.knobs.transport),
+        "--verify compares against the workers' socket fabric");
+  }
 
   std::printf("%-24s %14s %10s %12s %8s\n", "run", "checksum", "messages",
               "bytes", "barr/st");
   bool failed = false;
   for (const api::Backend b : opt.backends) {
     if (b == api::Backend::kChaos) continue;  // threads-only backend
-    const serve::JobRequest req = job_for(b, opt.coherence);
+    const serve::JobRequest req = job_for(b, opt.knobs);
     char label[64];
 
     api::KernelResult procr{};

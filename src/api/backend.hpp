@@ -8,6 +8,7 @@
 // concrete runtime.
 #pragma once
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <string_view>
@@ -15,7 +16,6 @@
 #include "src/chaos/translation_table.hpp"
 #include "src/coherence/coherence.hpp"
 #include "src/common/types.hpp"
-#include "src/core/diff.hpp"
 #include "src/net/transport.hpp"
 
 namespace sdsm::api {
@@ -103,14 +103,40 @@ const char* deploy_mode_name(DeployMode m);
 /// nullopt otherwise.
 std::optional<DeployMode> parse_deploy_mode(std::string_view name);
 
-/// Per-run tuning knobs that are about the *execution substrate*, not the
-/// kernel.  Each backend reads the subset that applies to it.
-struct BackendOptions {
+/// The per-run execution knobs, declared once: BackendOptions inherits
+/// them, and serve::JobRequest and harness::Options hold them, so a request
+/// or a command line reaches a run through one with_knobs() call.
+struct RunKnobs {
   /// Which fabric carries the traffic (all backends share it, so
   /// message/byte counts stay comparable — the paper's premise):
-  /// in-process channels with the simulated `wire` cost below, or real
-  /// TCP sockets over localhost where wire cost is measured instead.
+  /// in-process channels with the simulated wire cost, or real TCP sockets
+  /// over localhost where wire cost is measured instead.
   net::TransportKind transport = net::TransportKind::kInProc;
+  /// Reduction-round engine (Tmk backends); serial is the
+  /// committed-baseline default.
+  RoundSchedule round_schedule = RoundSchedule::kSerial;
+  /// Post the next reduction round's aggregated diff requests from the
+  /// barrier return path (DsmNode::post_validate_prefetch), completing
+  /// them at first use.  Optimized Tmk backend only; traffic is provably
+  /// identical with and without it — only the wait moves.
+  bool cross_step_prefetch = false;
+  /// Adaptive coherence engine (src/coherence/): kStatic (default) keeps
+  /// the protocol byte-identical to the committed baseline; kAdaptive lets
+  /// the per-page heat census replicate, migrate, or ghost hot regions.
+  /// Tmk backends only — CHAOS has no page protocol to adapt.
+  coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
+  /// Work-item iteration engine (see ExecEngine), all backends.  kRows is
+  /// the committed-baseline default; kBucketed is applied identically by
+  /// every backend so cross-backend checksum parity stays bit-exact.
+  ExecEngine exec_engine = ExecEngine::kRows;
+
+  auto operator<=>(const RunKnobs&) const = default;
+};
+
+/// Per-run tuning knobs that are about the *execution substrate*, not the
+/// kernel: the RunKnobs plus the substrate sizing below.  Each backend
+/// reads the subset that applies to it.
+struct BackendOptions : RunKnobs {
   /// Simulated interconnect cost model (in-process transport only).
   net::WireModel wire{};
   /// Nodes as threads of this process (default) or as spawned worker
@@ -124,31 +150,16 @@ struct BackendOptions {
   std::size_t region_bytes = 256u << 20;        ///< shared-region size
   std::size_t gc_threshold_bytes = 256u << 20;  ///< diff-store GC trigger
   bool write_all_enabled = true;  ///< WRITE_ALL twin elision (ablations)
-  /// Reduction-round engine; serial is the committed-baseline default.
-  RoundSchedule round_schedule = RoundSchedule::kSerial;
-  /// Post the next reduction round's aggregated diff requests from the
-  /// barrier return path (DsmNode::post_validate_prefetch), completing
-  /// them at first use.  Optimized Tmk backend only; traffic is provably
-  /// identical with and without it — only the wait moves.
-  bool cross_step_prefetch = false;
-  /// Adaptive coherence engine (src/coherence/): kStatic (default) keeps
-  /// the protocol byte-identical to the committed baseline; kAdaptive lets
-  /// the per-page heat census replicate, migrate, or ghost hot regions.
-  /// Tmk backends only — CHAOS has no page protocol to adapt.
-  coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
-  /// Twin-vs-page scan engine for diff creation (Tmk backends).  Both
-  /// engines emit byte-identical encodings — traffic is exact-gated across
-  /// the A/B — so this knob moves only diff_create_seconds.
-  core::DiffEngine diff_engine = core::kDefaultDiffEngine;
-
-  // --- All backends ---------------------------------------------------------
-  /// Work-item iteration engine (see ExecEngine).  kRows is the
-  /// committed-baseline default; kBucketed is applied identically by every
-  /// backend so cross-backend checksum parity stays bit-exact.
-  ExecEngine exec_engine = ExecEngine::kRows;
 
   // --- CHAOS backend --------------------------------------------------------
   chaos::TableKind table = chaos::TableKind::kDistributed;
 };
+
+/// `base` (typically a workload's default_options()) with its run knobs
+/// replaced by `knobs`.
+inline BackendOptions with_knobs(BackendOptions base, const RunKnobs& knobs) {
+  static_cast<RunKnobs&>(base) = knobs;
+  return base;
+}
 
 }  // namespace sdsm::api

@@ -953,12 +953,6 @@ KernelResult run_dsm(core::DsmRuntime& rt, const KernelSpec<T>& spec,
   SDSM_REQUIRE(rt.config().transport == options.transport);
   SDSM_REQUIRE(rt.config().write_all_enabled == options.write_all_enabled);
   SDSM_REQUIRE(rt.config().coherence == options.coherence);
-  // The diff engine is baked into the arena's config at construction, so
-  // a warm engine keyed without it would silently scan with the wrong
-  // engine; fail loudly instead (the serve layer keys engines on it).
-  SDSM_REQUIRE_MSG(rt.config().diff_engine == options.diff_engine,
-                   "run_dsm: runtime was built with a different diff engine "
-                   "than this run requests");
   SDSM_REQUIRE_MSG(rt.shared_bytes_used() == 0,
                    "run_dsm: runtime arena not reset");
 

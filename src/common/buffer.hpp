@@ -25,8 +25,7 @@ class Writer {
   template <typename T>
     requires std::is_trivially_copyable_v<T>
   void put(const T& value) {
-    const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
-    bytes_.insert(bytes_.end(), p, p + sizeof(T));
+    put_raw(&value, sizeof(T));
   }
 
   /// Writes a length-prefixed span of trivially copyable elements.
@@ -34,8 +33,7 @@ class Writer {
     requires std::is_trivially_copyable_v<T>
   void put_span(std::span<const T> values) {
     put<std::uint64_t>(values.size());
-    const auto* p = reinterpret_cast<const std::uint8_t*>(values.data());
-    bytes_.insert(bytes_.end(), p, p + values.size_bytes());
+    put_raw(values.data(), values.size_bytes());
   }
 
   void put_string(const std::string& s) {
@@ -43,9 +41,14 @@ class Writer {
   }
 
   /// Writes raw bytes without a length prefix (caller encodes the length).
+  /// Grows by resize + memcpy of size() - at (== n) bytes: inlined into its
+  /// callers, GCC 12 reports a false -Wstringop-overflow for a range
+  /// insert() and for a memcpy bounded by `n` itself.
   void put_raw(const void* data, std::size_t n) {
-    const auto* p = static_cast<const std::uint8_t*>(data);
-    bytes_.insert(bytes_.end(), p, p + n);
+    if (n == 0) return;  // data may be null for an empty span
+    const std::size_t at = bytes_.size();
+    bytes_.resize(at + n);
+    std::memcpy(bytes_.data() + at, data, bytes_.size() - at);
   }
 
   std::size_t size() const { return bytes_.size(); }

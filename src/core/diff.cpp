@@ -1,8 +1,6 @@
 #include "src/core/diff.hpp"
 
-#include <cctype>
 #include <cstring>
-#include <string>
 
 namespace sdsm::core {
 
@@ -36,12 +34,27 @@ std::size_t run_len(std::uint16_t encoded_len) {
   return encoded_len == 0 ? 65536 : encoded_len;
 }
 
-// --- Word engine scan helpers ----------------------------------------------
+// --- Scans ---------------------------------------------------------------------
 //
-// Both helpers step eight bytes at a time via unaligned uint64 loads and fall
-// back to a byte loop only inside the word where the answer lives (and for
-// the sub-word tail), so the run boundaries they find are exactly the ones
-// the scalar byte loop finds.
+// A scan finds the first index in [i, n) where current and twin differ
+// (find_diff) or agree (find_match), or n.  ByteScan is the byte-at-a-time
+// reference.  WordScan steps eight bytes at a time via unaligned uint64
+// loads and falls back to a byte loop only inside the word where the
+// answer lives (and for the sub-word tail), so the run boundaries it finds
+// are exactly the ones ByteScan finds.
+
+struct ByteScan {
+  static std::size_t find_diff(const std::byte* cur, const std::byte* twin,
+                               std::size_t i, std::size_t n) {
+    while (i < n && cur[i] == twin[i]) ++i;
+    return i;
+  }
+  static std::size_t find_match(const std::byte* cur, const std::byte* twin,
+                                std::size_t i, std::size_t n) {
+    while (i < n && cur[i] != twin[i]) ++i;
+    return i;
+  }
+};
 
 std::uint64_t load_u64(const std::byte* p) {
   std::uint64_t x;
@@ -58,110 +71,83 @@ bool has_zero_byte(std::uint64_t x) {
   return ((x - kLo) & ~x & kHi) != 0;
 }
 
-/// First index in [i, n) where current and twin differ, or n.
-std::size_t word_find_diff(const std::byte* cur, const std::byte* twin,
-                           std::size_t i, std::size_t n) {
-  while (i + sizeof(std::uint64_t) <= n) {
-    if (load_u64(cur + i) == load_u64(twin + i)) {
-      i += sizeof(std::uint64_t);
-      continue;
-    }
-    while (cur[i] == twin[i]) ++i;
-    return i;
-  }
-  while (i < n && cur[i] == twin[i]) ++i;
-  return i;
-}
-
-/// First index in [i, n) where current and twin agree, or n.  Skips whole
-/// words while every byte differs (the XOR has no zero byte).
-std::size_t word_find_match(const std::byte* cur, const std::byte* twin,
-                            std::size_t i, std::size_t n) {
-  while (i + sizeof(std::uint64_t) <= n) {
-    const std::uint64_t x = load_u64(cur + i) ^ load_u64(twin + i);
-    if (has_zero_byte(x)) {
-      while (cur[i] != twin[i]) ++i;
+struct WordScan {
+  static std::size_t find_diff(const std::byte* cur, const std::byte* twin,
+                               std::size_t i, std::size_t n) {
+    while (i + sizeof(std::uint64_t) <= n) {
+      if (load_u64(cur + i) == load_u64(twin + i)) {
+        i += sizeof(std::uint64_t);
+        continue;
+      }
+      while (cur[i] == twin[i]) ++i;
       return i;
     }
-    i += sizeof(std::uint64_t);
+    return ByteScan::find_diff(cur, twin, i, n);
   }
-  while (i < n && cur[i] != twin[i]) ++i;
-  return i;
-}
-
-}  // namespace
-
-const char* diff_engine_name(DiffEngine e) {
-  switch (e) {
-    case DiffEngine::kScalar:
-      return "scalar";
-    case DiffEngine::kWord:
-      return "word";
+  /// Skips whole words while every byte differs (the XOR has no zero byte).
+  static std::size_t find_match(const std::byte* cur, const std::byte* twin,
+                                std::size_t i, std::size_t n) {
+    while (i + sizeof(std::uint64_t) <= n) {
+      const std::uint64_t x = load_u64(cur + i) ^ load_u64(twin + i);
+      if (has_zero_byte(x)) {
+        while (cur[i] != twin[i]) ++i;
+        return i;
+      }
+      i += sizeof(std::uint64_t);
+    }
+    return ByteScan::find_match(cur, twin, i, n);
   }
-  return "?";
-}
+};
 
-std::optional<DiffEngine> parse_diff_engine(std::string_view name) {
-  std::string t;
-  for (const char c : name) {
-    t.push_back(static_cast<char>(std::tolower(static_cast<unsigned char>(c))));
-  }
-  if (t == "scalar" || t == "byte") return DiffEngine::kScalar;
-  if (t == "word") return DiffEngine::kWord;
-  return std::nullopt;
-}
-
-Diff Diff::create(std::span<const std::byte> current,
-                  std::span<const std::byte> twin, DiffEngine engine) {
+/// The run encoder both scans share.  A run extends only while the bytes
+/// actually differ: a diff must never carry unmodified bytes, because
+/// concurrent writers of one page produce diffs that are merged in
+/// arbitrary relative order, and a bridged gap would ship this writer's
+/// (stale) copy of bytes some other writer owns, erasing that writer's
+/// update on merge.  Exact runs cost more headers for interleaved
+/// patterns; correctness of the multiple-writer protocol requires them.
+template <typename Scan>
+std::vector<std::uint8_t> encode_runs(std::span<const std::byte> current,
+                                      std::span<const std::byte> twin) {
   SDSM_REQUIRE(current.size() == twin.size());
   SDSM_REQUIRE(current.size() <= 65536);
 
-  Diff d;
-  put_u32(d.encoded_, 0);  // run count patched below
+  std::vector<std::uint8_t> out;
+  put_u32(out, 0);  // run count patched below
   std::uint32_t nruns = 0;
 
   const std::size_t n = current.size();
   const std::byte* cur = current.data();
   const std::byte* twn = twin.data();
-
-  auto emit = [&](std::size_t i, std::size_t end) {
+  const auto* bytes = reinterpret_cast<const std::uint8_t*>(cur);
+  std::size_t i = Scan::find_diff(cur, twn, 0, n);
+  while (i < n) {
+    const std::size_t end = Scan::find_match(cur, twn, i + 1, n);
     const std::size_t len = end - i;
-    put_u16(d.encoded_, static_cast<std::uint16_t>(i));
-    put_u16(d.encoded_, static_cast<std::uint16_t>(len == 65536 ? 0 : len));
-    const auto* bytes = reinterpret_cast<const std::uint8_t*>(cur);
-    d.encoded_.insert(d.encoded_.end(), bytes + i, bytes + end);
+    put_u16(out, static_cast<std::uint16_t>(i));
+    put_u16(out, static_cast<std::uint16_t>(len == 65536 ? 0 : len));
+    out.insert(out.end(), bytes + i, bytes + end);
     ++nruns;
-  };
-
-  if (engine == DiffEngine::kWord) {
-    std::size_t i = word_find_diff(cur, twn, 0, n);
-    while (i < n) {
-      const std::size_t end = word_find_match(cur, twn, i + 1, n);
-      emit(i, end);
-      i = word_find_diff(cur, twn, end, n);
-    }
-  } else {
-    // Reference byte loop.  Extend a run only while the bytes actually
-    // differ: a diff must never carry unmodified bytes, because concurrent
-    // writers of one page produce diffs that are merged in arbitrary
-    // relative order, and a bridged gap would ship this writer's (stale)
-    // copy of bytes some other writer owns, erasing that writer's update on
-    // merge.  Exact runs cost more headers for interleaved patterns;
-    // correctness of the multiple-writer protocol requires them.
-    std::size_t i = 0;
-    while (i < n) {
-      if (cur[i] == twn[i]) {
-        ++i;
-        continue;
-      }
-      std::size_t end = i + 1;
-      while (end < n && cur[end] != twn[end]) ++end;
-      emit(i, end);
-      i = end;
-    }
+    i = Scan::find_diff(cur, twn, end, n);
   }
 
-  std::memcpy(d.encoded_.data(), &nruns, sizeof(nruns));
+  std::memcpy(out.data(), &nruns, sizeof(nruns));
+  return out;
+}
+
+}  // namespace
+
+Diff Diff::create(std::span<const std::byte> current,
+                  std::span<const std::byte> twin) {
+  Diff d;
+  d.encoded_ = encode_runs<WordScan>(current, twin);
+  return d;
+}
+
+Diff Diff::create_reference(std::span<const std::byte> current,
+                            std::span<const std::byte> twin) {
+  Diff d;
+  d.encoded_ = encode_runs<ByteScan>(current, twin);
   return d;
 }
 

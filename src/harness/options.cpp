@@ -37,13 +37,18 @@ std::optional<std::string_view> take_value(int argc, char** argv, int& i,
 
 }  // namespace
 
-Options Options::parse(int argc, char** argv) {
+Options Options::parse(int argc, char** argv,
+                       std::initializer_list<std::string_view> switches,
+                       const api::RunKnobs& defaults) {
   Options o;
+  o.knobs = defaults;
   std::vector<api::Backend> picked;
+  bool transport_given = false;
   for (int i = 1; i < argc; ++i) {
     if (const auto v = take_value(argc, argv, i, "--transport")) {
       if (const auto kind = net::parse_transport(*v)) {
-        o.transport = *kind;
+        o.knobs.transport = *kind;
+        transport_given = true;
       } else {
         usage_exit("--transport", *v, "inproc|socket");
       }
@@ -62,7 +67,7 @@ Options Options::parse(int argc, char** argv) {
       }
     } else if (const auto v = take_value(argc, argv, i, "--schedule")) {
       if (const auto s = api::parse_round_schedule(*v)) {
-        o.schedule = *s;
+        o.knobs.round_schedule = *s;
       } else {
         usage_exit("--schedule", *v, "serial|tournament");
       }
@@ -74,25 +79,46 @@ Options Options::parse(int argc, char** argv) {
       }
     } else if (const auto v = take_value(argc, argv, i, "--coherence")) {
       if (const auto c = coherence::parse_coherence_policy(*v)) {
-        o.coherence = *c;
+        o.knobs.coherence = *c;
       } else {
         usage_exit("--coherence", *v, "static|adaptive");
       }
-    } else if (const auto v = take_value(argc, argv, i, "--diff-engine")) {
-      if (const auto e = core::parse_diff_engine(*v)) {
-        o.diff_engine = *e;
-      } else {
-        usage_exit("--diff-engine", *v, "scalar|word");
-      }
     } else if (const auto v = take_value(argc, argv, i, "--exec")) {
       if (const auto e = api::parse_exec_engine(*v)) {
-        o.exec_engine = *e;
+        o.knobs.exec_engine = *e;
       } else {
         usage_exit("--exec", *v, "rows|bucketed");
       }
     } else {
       o.extras_.emplace_back(argv[i]);
     }
+  }
+  // Every extra must be one of the binary's own switches or the detached
+  // value of one: an unknown flag (a typo, or a flag that was retired) is
+  // an error, never silently ignored.
+  for (std::size_t i = 0; i < o.extras_.size(); ++i) {
+    const std::string_view arg = o.extras_[i];
+    if (!arg.starts_with("--")) {
+      if (i > 0 && o.extras_[i - 1].starts_with("--") &&
+          o.extras_[i - 1].find('=') == std::string::npos) {
+        continue;  // the value of the (known) switch before it
+      }
+    } else if (std::find(switches.begin(), switches.end(),
+                         arg.substr(2, arg.find('=') - 2)) != switches.end()) {
+      continue;
+    }
+    std::fprintf(stderr, "unknown argument '%.*s'\n",
+                 static_cast<int>(arg.size()), arg.data());
+    std::exit(2);
+  }
+  // Worker processes always talk over their TCP mesh, the socket fabric.
+  if (o.mode == DeployMode::kProcesses) {
+    if (transport_given &&
+        o.knobs.transport != net::TransportKind::kSocket) {
+      reject("--transport", net::transport_name(o.knobs.transport),
+             "--mode=processes runs over the workers' TCP mesh");
+    }
+    o.knobs.transport = net::TransportKind::kSocket;
   }
   // Sweep order (and dedup) always follows kAllBackends, so tables keep a
   // stable row order no matter how the flags were spelled.  Hybrid is not
@@ -109,6 +135,17 @@ Options Options::parse(int argc, char** argv) {
     o.backends.push_back(api::Backend::kHybrid);
   }
   return o;
+}
+
+void Options::reject(const char* flag, std::string_view value,
+                     const char* why) {
+  std::fprintf(stderr, "unsupported %s value '%.*s' (%s)\n", flag,
+               static_cast<int>(value.size()), value.data(), why);
+  std::exit(2);
+}
+
+void Options::threads_only(const char* why) const {
+  if (mode == DeployMode::kProcesses) reject("--mode", "processes", why);
 }
 
 bool Options::flag(std::string_view name) const {

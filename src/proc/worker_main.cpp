@@ -137,18 +137,14 @@ int main(int argc, char** argv) {
     for (;;) ::pause();
   }
 
-  // Materialize the job exactly as the serving layer would, then force
-  // the substrate knobs proc mode fixes: real sockets (run_impl checks
-  // the runtime and options agree) and kProcesses bookkeeping.
+  // Materialize the job exactly as the serving layer would (its options
+  // carry the request's knobs), then force what proc mode fixes: real
+  // sockets (run_dsm checks the runtime and options agree) and
+  // kProcesses bookkeeping.
   const serve::PreparedJob prepared = serve::prepare_job(req, nprocs);
-  api::BackendOptions options = prepared.base_options;
+  api::BackendOptions options = prepared.options;
   options.transport = net::TransportKind::kSocket;
   options.mode = DeployMode::kProcesses;
-  options.round_schedule = req.schedule;
-  options.cross_step_prefetch = req.cross_step_prefetch;
-  options.coherence = req.coherence;
-  options.diff_engine = req.diff_engine;
-  options.exec_engine = req.exec;
 
   core::DsmConfig cfg = api::TmkBackend::dsm_config(nprocs, options);
   proc::RendezvousResult rdv = proc::rendezvous(

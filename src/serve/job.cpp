@@ -26,16 +26,29 @@ GraphSpec decode_graph(Reader& r) {
   return g;
 }
 
+void encode(Writer& w, const api::RunKnobs& k) {
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(k.transport));
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(k.round_schedule));
+  w.put<std::uint8_t>(k.cross_step_prefetch ? 1 : 0);
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(k.coherence));
+  w.put<std::uint8_t>(static_cast<std::uint8_t>(k.exec_engine));
+}
+
+api::RunKnobs decode_knobs(Reader& r) {
+  api::RunKnobs k;
+  k.transport = static_cast<net::TransportKind>(r.get<std::uint8_t>());
+  k.round_schedule = static_cast<api::RoundSchedule>(r.get<std::uint8_t>());
+  k.cross_step_prefetch = r.get<std::uint8_t>() != 0;
+  k.coherence = static_cast<coherence::CoherencePolicy>(r.get<std::uint8_t>());
+  k.exec_engine = static_cast<api::ExecEngine>(r.get<std::uint8_t>());
+  return k;
+}
+
 void encode(Writer& w, const JobRequest& req) {
   w.put_string(req.kernel);
   encode(w, req.graph);
   w.put<std::uint8_t>(static_cast<std::uint8_t>(req.backend));
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.schedule));
-  w.put<std::uint8_t>(req.cross_step_prefetch ? 1 : 0);
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.coherence));
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.transport));
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.diff_engine));
-  w.put<std::uint8_t>(static_cast<std::uint8_t>(req.exec));
+  encode(w, req.knobs);
 }
 
 JobRequest decode_request(Reader& r) {
@@ -43,13 +56,7 @@ JobRequest decode_request(Reader& r) {
   req.kernel = r.get_string();
   req.graph = decode_graph(r);
   req.backend = static_cast<api::Backend>(r.get<std::uint8_t>());
-  req.schedule = static_cast<api::RoundSchedule>(r.get<std::uint8_t>());
-  req.cross_step_prefetch = r.get<std::uint8_t>() != 0;
-  req.coherence =
-      static_cast<coherence::CoherencePolicy>(r.get<std::uint8_t>());
-  req.transport = static_cast<net::TransportKind>(r.get<std::uint8_t>());
-  req.diff_engine = static_cast<core::DiffEngine>(r.get<std::uint8_t>());
-  req.exec = static_cast<api::ExecEngine>(r.get<std::uint8_t>());
+  req.knobs = decode_knobs(r);
   return req;
 }
 

@@ -17,7 +17,6 @@
 #include "src/api/backend.hpp"
 #include "src/api/kernel.hpp"
 #include "src/common/buffer.hpp"
-#include "src/core/diff.hpp"
 #include "src/net/transport.hpp"
 
 namespace sdsm::serve {
@@ -41,24 +40,11 @@ struct JobRequest {
   std::string kernel;  ///< "moldyn", "nbf", "spmv", "pagerank", "bfs", "cc"
   GraphSpec graph;
   api::Backend backend = api::Backend::kTmkOptimized;
-  api::RoundSchedule schedule = api::RoundSchedule::kSerial;
-  bool cross_step_prefetch = false;
-  /// Page-coherence policy of the job's engine.  Part of the engine key —
-  /// a warm adaptive arena carries census/directory/heat state that a
-  /// static job must never see, and vice versa.
-  coherence::CoherencePolicy coherence = coherence::CoherencePolicy::kStatic;
-  /// Inter-node fabric the job's engine uses (engines are keyed by
-  /// (backend, transport, coherence, diff_engine, exec), so in-proc and
-  /// socket jobs coexist).
-  net::TransportKind transport = net::TransportKind::kInProc;
-  /// Twin-vs-page diff scan engine.  Part of the engine key: a Tmk
-  /// engine's DsmRuntime bakes the diff engine into its config at
-  /// construction, so a warm scalar arena must never serve a word-engine
-  /// job (it would silently run with the wrong engine).
-  core::DiffEngine diff_engine = core::kDefaultDiffEngine;
-  /// Work-item iteration engine.  Keyed as well so one engine's warm
-  /// cadence stays attributable to a single execution configuration.
-  api::ExecEngine exec = api::ExecEngine::kRows;
+  /// The job's execution knobs.  The server keys its warm engines by
+  /// (backend, knobs), so in-proc and socket jobs coexist, and a warm
+  /// adaptive arena — carrying census/directory/heat state a static job
+  /// must never see — is never shared with a static one.
+  api::RunKnobs knobs;
 };
 
 /// Everything a completed (or failed) job reports back.
@@ -134,6 +120,9 @@ struct SubmitResult {
 
 void encode(Writer& w, const GraphSpec& g);
 GraphSpec decode_graph(Reader& r);
+
+void encode(Writer& w, const api::RunKnobs& k);
+api::RunKnobs decode_knobs(Reader& r);
 
 void encode(Writer& w, const JobRequest& req);
 JobRequest decode_request(Reader& r);

@@ -32,10 +32,10 @@ struct KernelServer::Job {
 
 // --- Engines ---------------------------------------------------------------
 
-// An engine is the warm substrate for one (backend, transport, coherence,
-// diff_engine, exec) key.  Its mutex serializes jobs on it: within a job the backend's node threads
-// already occupy the machine, so per-engine serialization loses nothing,
-// and jobs on *different* engines overlap freely across the worker pool.
+// An engine is the warm substrate for one (backend, knobs) key.  Its mutex
+// serializes jobs on it: within a job the backend's node threads already
+// occupy the machine, so per-engine serialization loses nothing, and jobs
+// on *different* engines overlap freely across the worker pool.
 struct KernelServer::Engine {
   std::mutex mu;
   virtual ~Engine() = default;
@@ -83,43 +83,34 @@ struct KernelServer::ChaosEngine final : Engine {
   }
 };
 
-api::BackendOptions KernelServer::overlay(api::BackendOptions base,
-                                          net::TransportKind transport) const {
-  // The fields an engine's substrate is built from must agree between
-  // engine construction and every job run on it; the workload's
-  // base_options contribute only substrate-independent knobs (CHAOS table
-  // kind).
-  base.transport = transport;
-  base.wire = cfg_.wire;
-  base.region_bytes = cfg_.region_bytes;
-  return base;
+api::BackendOptions KernelServer::overlay(api::BackendOptions opts) const {
+  // The substrate sizing every engine is built from comes from the server
+  // config, so it agrees between engine construction and every job run on
+  // the engine.
+  opts.wire = cfg_.wire;
+  opts.region_bytes = cfg_.region_bytes;
+  return opts;
 }
 
-KernelServer::Engine& KernelServer::engine_for(const JobRequest& req) {
-  // Every field a warm substrate is built from must be part of the key:
-  // a TmkEngine's DsmRuntime bakes diff_engine into its config at
-  // construction, so a scalar arena must never serve a word-engine job.
-  // exec does not shape the substrate but is keyed too, so one engine's
-  // warm cadence stays attributable to a single execution configuration.
-  const std::tuple<int, int, int, int, int> key{
-      static_cast<int>(req.backend), static_cast<int>(req.transport),
-      static_cast<int>(req.coherence), static_cast<int>(req.diff_engine),
-      static_cast<int>(req.exec)};
+KernelServer::Engine& KernelServer::engine_for(
+    api::Backend backend, const api::BackendOptions& opts) {
+  // Keyed by every knob, so a warm engine only ever runs one execution
+  // configuration: a TmkEngine's DsmRuntime bakes transport and coherence
+  // into its config at construction, and the knobs that do not shape the
+  // substrate keep one engine's warm cadence attributable to one setting.
+  // The rest of `opts` is the overlay above plus the workloads' shared
+  // defaults, so the first job's options build the engine for every job.
+  const EngineKey key{backend, opts};
   std::lock_guard<std::mutex> g(engines_mu_);
   const auto it = engines_.find(key);
   if (it != engines_.end()) return *it->second;
 
   std::unique_ptr<Engine> engine;
-  if (req.backend == api::Backend::kChaos) {
+  if (backend == api::Backend::kChaos) {
     engine =
-        std::make_unique<ChaosEngine>(cfg_.nprocs, cfg_.wire, req.transport);
+        std::make_unique<ChaosEngine>(cfg_.nprocs, opts.wire, opts.transport);
   } else {
-    api::BackendOptions base;
-    base.coherence = req.coherence;
-    base.diff_engine = req.diff_engine;
-    engine = std::make_unique<TmkEngine>(cfg_.nprocs, req.backend,
-                                         overlay(std::move(base),
-                                                 req.transport));
+    engine = std::make_unique<TmkEngine>(cfg_.nprocs, backend, opts);
   }
   Engine& ref = *engine;
   engines_[key] = std::move(engine);
@@ -268,15 +259,8 @@ void KernelServer::run_job(Job& job) {
     const PreparedJob prepared = prepare_job(job.req, cfg_.nprocs);
     s.cache_eligible = prepared.cacheable;
 
-    api::BackendOptions opts = overlay(prepared.base_options,
-                                       job.req.transport);
-    opts.round_schedule = job.req.schedule;
-    opts.cross_step_prefetch = job.req.cross_step_prefetch;
-    opts.coherence = job.req.coherence;
-    opts.diff_engine = job.req.diff_engine;
-    opts.exec_engine = job.req.exec;
-
-    Engine& engine = engine_for(job.req);
+    const api::BackendOptions opts = overlay(prepared.options);
+    Engine& engine = engine_for(job.req.backend, opts);
 
     api::RunSession session;
     const CacheKey key{prepared.fingerprint, job.req.kernel, job.req.backend,

@@ -1,9 +1,8 @@
 // KernelServer: the persistent kernel-serving runtime (the PR's tentpole).
 //
 // A server owns its execution substrates for its whole lifetime — one warm
-// engine per (backend, transport, coherence, diff_engine, exec) tuple,
-// created lazily: a
-// TreadMarks engine keeps a DsmRuntime whose arena is reset (not rebuilt)
+// engine per (backend, api::RunKnobs) key, created lazily: a TreadMarks
+// engine keeps a DsmRuntime whose arena is reset (not rebuilt)
 // between jobs — the reset also clears adaptive-coherence heat and
 // directory state, so a warm engine starts every job cold — and a CHAOS
 // engine keeps a warm ChaosRuntime.  Jobs arrive as JobRequests
@@ -27,8 +26,8 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <tuple>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/api/backend.hpp"
@@ -88,9 +87,8 @@ class KernelServer {
 
   void worker_loop();
   void run_job(Job& job);
-  Engine& engine_for(const JobRequest& req);
-  api::BackendOptions overlay(api::BackendOptions base,
-                              net::TransportKind transport) const;
+  Engine& engine_for(api::Backend backend, const api::BackendOptions& opts);
+  api::BackendOptions overlay(api::BackendOptions opts) const;
 
   void start_listener();
   void stop_listener();
@@ -116,9 +114,9 @@ class KernelServer {
 
   std::vector<std::thread> workers_;
 
+  using EngineKey = std::pair<api::Backend, api::RunKnobs>;
   std::mutex engines_mu_;
-  std::map<std::tuple<int, int, int, int, int>, std::unique_ptr<Engine>>
-      engines_;
+  std::map<EngineKey, std::unique_ptr<Engine>> engines_;
 
   int port_ = -1;
   int listen_fd_ = -1;

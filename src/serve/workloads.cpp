@@ -1,5 +1,7 @@
 #include "src/serve/workloads.hpp"
 
+#include <utility>
+
 #include "src/apps/graph/bfs.hpp"
 #include "src/apps/graph/cc.hpp"
 #include "src/apps/moldyn/moldyn_kernel.hpp"
@@ -64,14 +66,11 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     const apps::moldyn::System sys = apps::moldyn::make_system(p);
     job.is_double3 = true;
     job.spec3 = apps::moldyn::make_kernel(p, sys);
-    job.cacheable = job.spec3.structure_cacheable;
-    job.base_options = apps::moldyn::default_options();
+    job.options = apps::moldyn::default_options();
     job.fingerprint =
         fingerprint_of(req.kernel, nprocs, p.num_molecules, p.num_steps,
                        p.update_interval, p.box, p.cutoff, p.dt, p.seed);
-    return job;
-  }
-  if (req.kernel == "nbf") {
+  } else if (req.kernel == "nbf") {
     apps::nbf::Params p;
     p.nprocs = nprocs;
     if (g.num_elements > 0) p.molecules = g.num_elements;
@@ -79,7 +78,7 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     if (g.warmup_steps >= 0) p.warmup_steps = g.warmup_steps;
     if (g.partners > 0) p.partners = g.partners;
     job.spec = apps::nbf::make_kernel(p);
-    job.base_options = apps::nbf::default_options();
+    job.options = apps::nbf::default_options();
     job.fingerprint =
         fingerprint_of(req.kernel, nprocs, p.molecules, p.partners,
                        p.min_partners, p.spread, p.timed_steps,
@@ -93,7 +92,7 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     if (g.edges_per_vertex > 0) p.edges_per_vertex = g.edges_per_vertex;
     if (g.seed != 0) p.seed = g.seed;
     job.spec = apps::spmv::make_kernel(p);
-    job.base_options = apps::spmv::default_options();
+    job.options = apps::spmv::default_options();
     job.fingerprint =
         fingerprint_of(req.kernel, nprocs, p.num_rows, p.edges_per_vertex,
                        p.num_steps, p.warmup_steps, p.dt, p.seed);
@@ -106,7 +105,7 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     if (g.edges_per_vertex > 0) p.edges_per_vertex = g.edges_per_vertex;
     if (g.seed != 0) p.seed = g.seed;
     job.spec = apps::pagerank::make_kernel(p);
-    job.base_options = apps::pagerank::default_options();
+    job.options = apps::pagerank::default_options();
     job.fingerprint =
         fingerprint_of(req.kernel, nprocs, p.num_vertices, p.edges_per_vertex,
                        p.num_steps, p.warmup_steps, p.damping, p.seed);
@@ -117,7 +116,7 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     if (g.num_steps > 0) p.num_steps = g.num_steps;
     if (g.warmup_steps >= 0) p.warmup_steps = g.warmup_steps;
     job.spec = apps::quickstart::make_kernel(p);
-    job.base_options = apps::quickstart::default_options();
+    job.options = apps::quickstart::default_options();
     job.fingerprint = fingerprint_of(req.kernel, nprocs, p.num_elements,
                                      p.num_steps, p.warmup_steps);
   } else if (req.kernel == "bfs" || req.kernel == "cc") {
@@ -130,10 +129,10 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     if (g.seed != 0) p.seed = g.seed;
     if (req.kernel == "bfs") {
       job.spec = apps::bfs::make_kernel(p);
-      job.base_options = apps::bfs::default_options();
+      job.options = apps::bfs::default_options();
     } else {
       job.spec = apps::cc::make_kernel(p);
-      job.base_options = apps::cc::default_options();
+      job.options = apps::cc::default_options();
     }
     job.fingerprint = fingerprint_of(
         req.kernel, nprocs, p.num_vertices, p.chords_per_vertex, p.isolated,
@@ -143,7 +142,9 @@ PreparedJob prepare_job(const JobRequest& req, std::uint32_t nprocs) {
     SDSM_REQUIRE_MSG(false, "prepare_job: unknown kernel (admission must "
                             "check known_kernel first)");
   }
-  job.cacheable = job.spec.structure_cacheable;
+  job.cacheable = job.is_double3 ? job.spec3.structure_cacheable
+                                 : job.spec.structure_cacheable;
+  job.options = api::with_knobs(std::move(job.options), req.knobs);
   return job;
 }
 

@@ -1,6 +1,6 @@
 // The serving layer's kernel registry: resolves a JobRequest's kernel
-// name + GraphSpec into a concrete KernelSpec, the workload's default
-// backend options, and the schedule-cache fingerprint.
+// name + GraphSpec into a concrete KernelSpec, the backend options it runs
+// with, and the schedule-cache fingerprint.
 //
 // The fingerprint is an FNV-1a digest of the kernel name, every resolved
 // workload parameter, and nprocs — two requests collide exactly when they
@@ -27,9 +27,10 @@ struct PreparedJob {
 
   bool cacheable = false;  ///< spec.structure_cacheable
   std::uint64_t fingerprint = 0;
-  /// The workload's default_options() (CHAOS table kind etc.); the server
-  /// overlays its own transport/region/schedule fields on top.
-  api::BackendOptions base_options;
+  /// The workload's default_options() (CHAOS table kind etc.) carrying
+  /// the request's knobs; the server overlays its own wire model and
+  /// region size on top.
+  api::BackendOptions options;
 };
 
 /// True when `name` is a kernel this server can run.

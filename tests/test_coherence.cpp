@@ -38,10 +38,11 @@ TEST(CoherencePolicyEnum, HarnessFlagParses) {
   const char* argv[] = {"prog", "--coherence=adaptive"};
   const harness::Options o =
       harness::Options::parse(2, const_cast<char**>(argv));
-  EXPECT_EQ(o.coherence, CoherencePolicy::kAdaptive);
+  EXPECT_EQ(o.knobs.coherence, CoherencePolicy::kAdaptive);
 
   const char* argv2[] = {"prog"};
-  EXPECT_EQ(harness::Options::parse(1, const_cast<char**>(argv2)).coherence,
+  EXPECT_EQ(
+      harness::Options::parse(1, const_cast<char**>(argv2)).knobs.coherence,
             CoherencePolicy::kStatic);
 }
 

@@ -1,9 +1,12 @@
-// Tests for the experiment harness table formatting.
+// Tests for the experiment harness: table formatting and the shared
+// command-line options.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "src/apps/pagerank/pagerank.hpp"
 #include "src/harness/experiment.hpp"
+#include "src/harness/options.hpp"
 
 namespace sdsm::harness {
 namespace {
@@ -132,6 +135,61 @@ TEST(Harness, CoherenceColumnsOnlyOnRowsThatAskForThem) {
   EXPECT_GT(hit, text.find("\"variant\": \"adaptive\""));
   EXPECT_EQ(text.find("\"ghost_promotions\": 16", hit + 1),
             std::string::npos);
+}
+
+// Every knob flag lands in Options::knobs, and laying them over a
+// workload's default_options() sets each knob while keeping the
+// workload's own settings (pagerank's replicated CHAOS table).
+TEST(HarnessOptions, ParsedKnobsLayOverWorkloadDefaults) {
+  const char* argv[] = {"prog", "--transport=socket", "--schedule=tournament",
+                        "--coherence=adaptive", "--exec=bucketed"};
+  const Options o = Options::parse(5, const_cast<char**>(argv));
+  const api::BackendOptions opts =
+      api::with_knobs(apps::pagerank::default_options(), o.knobs);
+  EXPECT_EQ(opts.transport, net::TransportKind::kSocket);
+  EXPECT_EQ(opts.round_schedule, api::RoundSchedule::kTournament);
+  EXPECT_EQ(opts.coherence, coherence::CoherencePolicy::kAdaptive);
+  EXPECT_EQ(opts.exec_engine, api::ExecEngine::kBucketed);
+  EXPECT_FALSE(opts.cross_step_prefetch);
+  EXPECT_EQ(opts.table, chaos::TableKind::kReplicated);
+  EXPECT_EQ(opts.table, apps::pagerank::default_options().table);
+}
+
+TEST(HarnessOptions, DefaultsSeedTheKnobs) {
+  api::RunKnobs defaults;
+  defaults.transport = net::TransportKind::kSocket;
+  const char* bare[] = {"prog"};
+  EXPECT_EQ(Options::parse(1, const_cast<char**>(bare), {}, defaults)
+                .knobs.transport,
+            net::TransportKind::kSocket);
+  const char* argv[] = {"prog", "--transport=inproc"};
+  EXPECT_EQ(Options::parse(2, const_cast<char**>(argv), {}, defaults)
+                .knobs.transport,
+            net::TransportKind::kInProc);
+}
+
+TEST(HarnessOptions, ProcessModeRunsOnSockets) {
+  const char* argv[] = {"prog", "--mode=processes"};
+  const Options o = Options::parse(2, const_cast<char**>(argv));
+  EXPECT_EQ(o.mode, DeployMode::kProcesses);
+  EXPECT_EQ(o.knobs.transport, net::TransportKind::kSocket);
+}
+
+using HarnessOptionsDeathTest = ::testing::Test;
+
+TEST_F(HarnessOptionsDeathTest, RejectsWhatNoBinaryCanRun) {
+  const char* retired[] = {"prog", "--diff-engine=word"};
+  EXPECT_EXIT(Options::parse(2, const_cast<char**>(retired)),
+              ::testing::ExitedWithCode(2), "--diff-engine=word");
+  const char* stray[] = {"prog", "--verify"};
+  EXPECT_EXIT(Options::parse(2, const_cast<char**>(stray)),
+              ::testing::ExitedWithCode(2), "--verify");
+  const char* inproc[] = {"prog", "--mode=processes", "--transport=inproc"};
+  EXPECT_EXIT(Options::parse(3, const_cast<char**>(inproc)),
+              ::testing::ExitedWithCode(2), "--transport value 'inproc'");
+  EXPECT_EXIT(Options::reject("--mode", "processes", "threads only"),
+              ::testing::ExitedWithCode(2),
+              "unsupported --mode value 'processes' \\(threads only\\)");
 }
 
 }  // namespace

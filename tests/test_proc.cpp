@@ -32,7 +32,7 @@ serve::JobRequest spmv_request(api::Backend b) {
   req.graph.num_steps = 4;
   req.graph.edges_per_vertex = 4;
   req.backend = b;
-  req.transport = net::TransportKind::kSocket;
+  req.knobs.transport = net::TransportKind::kSocket;
   return req;
 }
 
@@ -43,23 +43,20 @@ serve::JobRequest moldyn_request(api::Backend b) {
   req.graph.num_steps = 8;
   req.graph.update_interval = 4;  // rebuilds inside the timed loop
   req.backend = b;
-  req.transport = net::TransportKind::kSocket;
+  req.knobs.transport = net::TransportKind::kSocket;
   return req;
 }
 
 /// The threaded reference: the byte-identical job, materialized by the
-/// same prepare_job the workers call, on the threaded socket fabric.
+/// same prepare_job the workers call — the request's knobs included — on
+/// the threaded socket fabric.
 api::KernelResult run_threaded(const serve::JobRequest& req,
                                std::uint32_t nprocs) {
   const serve::PreparedJob prepared = serve::prepare_job(req, nprocs);
-  api::BackendOptions options = prepared.base_options;
-  options.transport = net::TransportKind::kSocket;
-  options.round_schedule = req.schedule;
-  options.cross_step_prefetch = req.cross_step_prefetch;
   if (prepared.is_double3) {
-    return api::run_kernel(req.backend, prepared.spec3, options);
+    return api::run_kernel(req.backend, prepared.spec3, prepared.options);
   }
-  return api::run_kernel(req.backend, prepared.spec, options);
+  return api::run_kernel(req.backend, prepared.spec, prepared.options);
 }
 
 void expect_parity(const serve::JobRequest& req) {
@@ -172,13 +169,22 @@ TEST(ProcParity, MoldynTmkOptimized) {
   expect_parity(moldyn_request(api::Backend::kTmkOptimized));
 }
 
+// Non-default knobs reach both sides: the workers decode them from the
+// request, the threaded reference gets them from the same prepare_job.
+TEST(ProcParity, MoldynAdaptiveBucketedTmkOptimized) {
+  serve::JobRequest req = moldyn_request(api::Backend::kTmkOptimized);
+  req.knobs.coherence = coherence::CoherencePolicy::kAdaptive;
+  req.knobs.exec_engine = api::ExecEngine::kBucketed;
+  expect_parity(req);
+}
+
 TEST(ProcParity, QuickstartTmkOptimized) {
   serve::JobRequest req;
   req.kernel = "quickstart";
   req.graph.num_elements = 2048;
   req.graph.num_steps = 4;
   req.backend = api::Backend::kTmkOptimized;
-  req.transport = net::TransportKind::kSocket;
+  req.knobs.transport = net::TransportKind::kSocket;
   expect_parity(req);
 }
 

@@ -43,7 +43,7 @@ JobRequest spmv_request(api::Backend b, net::TransportKind t) {
   req.graph.num_steps = 6;
   req.graph.edges_per_vertex = 4;
   req.backend = b;
-  req.transport = t;
+  req.knobs.transport = t;
   return req;
 }
 
@@ -54,7 +54,7 @@ JobRequest moldyn_request(api::Backend b, net::TransportKind t) {
   req.graph.num_steps = 8;
   req.graph.update_interval = 4;  // rebuilds inside the timed loop
   req.backend = b;
-  req.transport = t;
+  req.knobs.transport = t;
   return req;
 }
 
@@ -211,37 +211,29 @@ TEST(ServeIsolation, ArenaResetBetweenDifferentJobs) {
   EXPECT_EQ(one.messages, second.messages);
 }
 
-// --- Engine keying: diff/exec engines ---------------------------------------
+// --- Engine keying -----------------------------------------------------------
 
-// Jobs that differ only in diff_engine or exec must not share a warm
-// engine: the diff engine is baked into a Tmk engine's arena when it is
-// constructed, and run_dsm now fails loudly when a runtime's engine
-// disagrees with the job's — so if the serve key ever stopped including
-// diff_engine, the second job below would fail instead of silently
-// scanning with the wrong engine.  Both knobs are exact A/Bs, so every
-// variant must also produce bit-identical results and traffic.
-TEST(ServeEngineKey, DiffAndExecVariantsGetTheirOwnEngines) {
+// Jobs that differ only in a knob must not share a warm engine: engines are
+// keyed by (backend, RunKnobs), so one engine's warm cadence stays
+// attributable to a single execution configuration.  The exec engine is
+// an exact A/B on uniform-degree spmv, so the variant must also produce
+// bit-identical results and traffic.
+TEST(ServeEngineKey, ExecVariantGetsItsOwnEngine) {
   KernelServer server(small_server());
   Client client = Client::in_proc(server);
 
-  const JobRequest scalar =
+  const JobRequest rows =
       spmv_request(api::Backend::kTmkOptimized, net::TransportKind::kInProc);
-  JobRequest word = scalar;
-  word.diff_engine = core::DiffEngine::kWord;
-  JobRequest bucketed = scalar;
-  bucketed.exec = api::ExecEngine::kBucketed;
+  JobRequest bucketed = rows;
+  bucketed.knobs.exec_engine = api::ExecEngine::kBucketed;
 
-  const JobStats a = client.run(scalar);
-  const JobStats b = client.run(word);  // would alias a's engine if unkeyed
-  const JobStats c = client.run(bucketed);
+  const JobStats a = client.run(rows);
+  const JobStats b = client.run(bucketed);
   ASSERT_TRUE(a.ok) << a.error;
   ASSERT_TRUE(b.ok) << b.error;
-  ASSERT_TRUE(c.ok) << c.error;
 
   EXPECT_EQ(b.checksum, a.checksum);
-  EXPECT_EQ(c.checksum, a.checksum);
   EXPECT_EQ(b.messages, a.messages);
-  EXPECT_EQ(c.messages, a.messages);
 }
 
 // --- Hybrid through serve ---------------------------------------------------
@@ -461,10 +453,12 @@ TEST(ServeSocket, WaitForUnknownJobFailsCleanly) {
 TEST(ServeCodec, RequestRoundTrip) {
   JobRequest req = moldyn_request(api::Backend::kChaos,
                                   net::TransportKind::kSocket);
-  req.schedule = api::RoundSchedule::kTournament;
-  req.cross_step_prefetch = true;
-  req.diff_engine = core::DiffEngine::kWord;
-  req.exec = api::ExecEngine::kBucketed;
+  // Every knob off its default, so a knob the codec drops fails below.
+  req.knobs.round_schedule = api::RoundSchedule::kTournament;
+  req.knobs.cross_step_prefetch = true;
+  req.knobs.coherence = coherence::CoherencePolicy::kAdaptive;
+  req.knobs.exec_engine = api::ExecEngine::kBucketed;
+  ASSERT_EQ(req.knobs.transport, net::TransportKind::kSocket);
   Writer w;
   encode(w, req);
   Reader r(w.bytes());
@@ -474,11 +468,12 @@ TEST(ServeCodec, RequestRoundTrip) {
   EXPECT_EQ(back.graph.num_elements, req.graph.num_elements);
   EXPECT_EQ(back.graph.update_interval, req.graph.update_interval);
   EXPECT_EQ(back.backend, req.backend);
-  EXPECT_EQ(back.schedule, req.schedule);
-  EXPECT_EQ(back.cross_step_prefetch, req.cross_step_prefetch);
-  EXPECT_EQ(back.transport, req.transport);
-  EXPECT_EQ(back.diff_engine, req.diff_engine);
-  EXPECT_EQ(back.exec, req.exec);
+  EXPECT_EQ(back.knobs.transport, req.knobs.transport);
+  EXPECT_EQ(back.knobs.round_schedule, req.knobs.round_schedule);
+  EXPECT_EQ(back.knobs.cross_step_prefetch, req.knobs.cross_step_prefetch);
+  EXPECT_EQ(back.knobs.coherence, req.knobs.coherence);
+  EXPECT_EQ(back.knobs.exec_engine, req.knobs.exec_engine);
+  EXPECT_TRUE(back.knobs == req.knobs);
 }
 
 TEST(ServeCodec, StatsRoundTrip) {
@@ -590,10 +585,10 @@ TEST(HarnessOptions, DefaultsAndRecognizedFlags) {
                         "--schedule=tournament"};
   const harness::Options o =
       harness::Options::parse(4, const_cast<char**>(argv));
-  EXPECT_EQ(o.transport, net::TransportKind::kSocket);
+  EXPECT_EQ(o.knobs.transport, net::TransportKind::kSocket);
   ASSERT_EQ(o.backends.size(), 1u);
   EXPECT_EQ(o.backends[0], api::Backend::kChaos);
-  EXPECT_EQ(o.schedule, api::RoundSchedule::kTournament);
+  EXPECT_EQ(o.knobs.round_schedule, api::RoundSchedule::kTournament);
 }
 
 TEST(HarnessOptions, BackendListKeepsCanonicalOrder) {
@@ -610,13 +605,13 @@ TEST(HarnessOptions, DefaultsToAllBackends) {
   const harness::Options o =
       harness::Options::parse(1, const_cast<char**>(argv));
   EXPECT_EQ(o.backends.size(), 3u);
-  EXPECT_EQ(o.transport, net::TransportKind::kInProc);
+  EXPECT_EQ(o.knobs.transport, net::TransportKind::kInProc);
 }
 
 TEST(HarnessOptions, ExtrasFlagAndValue) {
   const char* argv[] = {"prog", "--smoke", "--nprocs=8", "--out", "x.json"};
-  const harness::Options o =
-      harness::Options::parse(5, const_cast<char**>(argv));
+  const harness::Options o = harness::Options::parse(
+      5, const_cast<char**>(argv), {"smoke", "nprocs", "out"});
   EXPECT_TRUE(o.flag("smoke"));
   EXPECT_FALSE(o.flag("verbose"));
   ASSERT_TRUE(o.value("nprocs").has_value());
