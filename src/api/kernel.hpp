@@ -388,7 +388,7 @@ struct ResultField {
   X(std::uint64_t, bytes, kSum, kHidden) /* exact count: bit-identical */    \
   /* Per node: inspector (CHAOS) or Read_indices scan (Tmk) time keeping  */ \
   /* the structure current; twin-vs-page scans and Diff::apply loops (Tmk */ \
-  /* only), what the diff-engine A/B moves at byte-identical traffic.     */ \
+  /* only).                                                               */ \
   X(double, overhead_seconds, kMean, kNone)                                  \
   X(double, diff_create_seconds, kMean, kLower)                              \
   X(double, diff_apply_seconds, kMean, kLower)                               \
